@@ -7,28 +7,18 @@ a smoke test that doubles as the thirty-second tour of the library.
 ``python -m repro sweep ...`` dispatches to the sharded experiment-sweep
 orchestrator (see :mod:`repro.sweep.cli` for flags).
 
-``python -m repro faults --self-check`` runs the fault-injection matrix
-(kill leaders / partition / corrupt frames, each under reliable on/off
-and wire on/off) asserting determinism and recovery — the CI
-``fault-matrix`` job.
-
 ``python -m repro serve`` brings up a persistent query engine over a
 small deployment and serves a synthesized arrival stream, printing the
-per-round cache/radio accounting; ``--self-check`` runs the serving
-acceptance matrix instead (the CI ``serve`` job).
+per-round cache/radio accounting.
 
 ``python -m repro partition`` runs one seeded broadcast storm serially
 and space-partitioned (DESIGN.md §12) and prints the matching
-fingerprints plus the wall-clock split; ``--self-check`` runs the
-partitioned-simulator acceptance matrix instead (the CI ``partition``
-job).
+fingerprints plus the wall-clock split.
 
 ``python -m repro scenario`` runs one seeded round under the full
 scenario composition (log-normal shadowing, mobility, pursuit adversary,
 duty-cycled sources; DESIGN.md §14) serially and space-partitioned,
-printing the matching fingerprints and the scenario report;
-``--self-check`` runs the scenario acceptance matrix instead (the CI
-``scenario`` job).
+printing the matching fingerprints and the scenario report.
 
 ``python -m repro bench ...`` forwards to the perf-regression harness
 (:mod:`repro.bench`), flags included — ``--check``, ``--workers N``,
@@ -38,8 +28,10 @@ printing the matching fingerprints and the scenario report;
 (:mod:`repro.analyze`): memoized aggregation of sweep JSONL sinks with
 confidence intervals (``--sink``/``--by``), plus trajectory regression
 detection over the committed ``BENCH_*.json`` artifacts, writing
-``ANALYZE_report.json``; ``--self-check`` runs the analysis acceptance
-matrix instead (the CI ``analyze`` job).
+``ANALYZE_report.json`` (the CI ``analyze`` job).
+
+The acceptance checks of every subsystem run in the pytest suite:
+``PYTHONPATH=src python -m pytest -q``.
 """
 
 from __future__ import annotations
@@ -57,12 +49,7 @@ from .core.analysis import estimate_quadtree, quadtree_step_count
 
 
 def _serve_demo(args: list[str]) -> int:
-    """``python -m repro serve [--self-check]``."""
-    from .serve import self_check
-
-    if "--self-check" in args:
-        return 0 if self_check() else 1
-
+    """``python -m repro serve [side] [n_queries]``."""
     import numpy as np
 
     from .core import CountAggregation
@@ -121,12 +108,7 @@ def _serve_demo(args: list[str]) -> int:
 
 
 def _partition_demo(args: list[str]) -> int:
-    """``python -m repro partition [side] [K] [--self-check]``."""
-    from .partition import self_check
-
-    if "--self-check" in args:
-        return 0 if self_check() else 1
-
+    """``python -m repro partition [side] [K]``."""
     import time
 
     import numpy as np
@@ -167,21 +149,18 @@ def _partition_demo(args: list[str]) -> int:
 
 
 def _scenario_demo(args: list[str]) -> int:
-    """``python -m repro scenario [--self-check]``."""
-    from .scenario import self_check
-    from .scenario.selfcheck import SIDE, _kill_plan, _run, demo_scenario
-
-    if "--self-check" in args:
-        return 0 if self_check() else 1
+    """``python -m repro scenario``."""
+    from .runtime.faults import FaultEvent, FaultPlan
+    from .scenario import demo_round, demo_scenario
 
     scn = demo_scenario()
-    plan = _kill_plan((1, 1))
+    plan = FaultPlan(events=(FaultEvent(time=0.7, action="kill_leader", cell=(1, 1)),))
     print(f"scenario             : {scn.link.kind} + "
           f"{len(scn.mobility.moves)} moves + attacker at "
           f"{scn.attacker.start_cell} + {len(scn.sources.cells)} sources")
     print(f"scenario fingerprint : {scn.fingerprint()}")
-    serial = _run(scn, plan=plan)
-    partitioned = _run(scn, partitions=4, plan=plan)
+    serial = demo_round(scn, plan=plan)
+    partitioned = demo_round(scn, partitions=4, plan=plan)
     rep = serial.scenario_report
     print(f"serial run           : {serial.transmissions} tx, "
           f"{serial.events_processed} events, "
@@ -210,13 +189,6 @@ def main(argv: list[str] | None = None) -> int:
         from .sweep.cli import main as sweep_main
 
         return sweep_main(args[1:])
-    if args and args[0] == "faults":
-        from .runtime.faults import self_check
-
-        if "--self-check" not in args[1:]:
-            print("usage: python -m repro faults --self-check", file=sys.stderr)
-            return 2
-        return 0 if self_check() else 1
     if args and args[0] == "serve":
         return _serve_demo(args[1:])
     if args and args[0] == "partition":

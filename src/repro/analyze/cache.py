@@ -9,7 +9,7 @@ dict is loaded from the memo without parsing a single record, and the
 partials merge associatively into the campaign answer.
 
 The :class:`CacheStats` counters are part of the contract, not telemetry:
-the self-check asserts that re-aggregating an unchanged campaign performs
+the memoization tests assert that re-aggregating an unchanged campaign performs
 **zero** record re-reads, and that growing the campaign re-reads only the
 changed file.
 

@@ -9,13 +9,12 @@ Two modes, composable in one invocation:
   switches the rendering);
 * **trajectory regression** — with ``--bench-dir`` (default ``.``) the
   committed ``BENCH_micro.json`` / ``BENCH_e1.json`` trajectories are
-  checked for regressions (floor + CI-overlap rules), the E1/micro
-  tables are printed, and the machine-readable verdict is written to
-  ``--report`` (default ``ANALYZE_report.json``).
+  checked for regressions (floor, CI-overlap and ratio-target rules),
+  the E1/micro tables are printed, and the machine-readable verdict is
+  written to ``--report`` (default ``ANALYZE_report.json``).
 
-``--self-check`` runs the analysis acceptance matrix instead (the CI
-``analyze`` job).  Exit codes: 0 ok; 1 regression findings or audit
-mismatches; 2 usage/ingest errors.
+Exit codes: 0 ok; 1 regression findings or audit mismatches; 2
+usage/ingest errors.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro analyze",
         description="campaign analytics: memoized aggregation, confidence "
         "intervals, trajectory regression detection",
-    )
-    parser.add_argument(
-        "--self-check", action="store_true",
-        help="run the analysis acceptance matrix (the CI analyze job)",
     )
     parser.add_argument(
         "--sink", action="append", default=[], metavar="PATH",
@@ -160,9 +155,13 @@ def _run_regression(args: argparse.Namespace) -> int:
             print(f"wrote {args.report}")
     if not report.ok:
         for check in report.findings:
+            reference = (
+                f"target {check.target:.6g}" if check.target is not None
+                else f"best {check.best:.6g}"
+            )
             print(
                 f"REGRESSION: {check.bench}:{check.workload}.{check.metric} "
-                f"= {check.value:.6g} (best {check.best:.6g}, "
+                f"= {check.value:.6g} ({reference}, "
                 f"rules: {', '.join(check.rules_violated)})",
                 file=sys.stderr,
             )
@@ -173,10 +172,6 @@ def _run_regression(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.self_check:
-        from .selfcheck import self_check
-
-        return 0 if self_check() else 1
     try:
         code = 0
         if args.sink:

@@ -14,6 +14,12 @@ applies two rules to each tracked series:
   default): a new point below it is statistically inconsistent with the
   trajectory even when it clears the floor.
 
+A third rule needs no history: the **ratio-target rule** reads the
+``gates`` dict ``repro.bench`` records in the latest entry (ratios one
+run measured on one machine, such as timer wheel vs legacy handles) and
+holds each to its target in :data:`RATIO_TARGETS`.  This module is the
+only place that decides bench pass/fail; ``repro.bench`` only records.
+
 Only the series in :data:`repro.bench.TRAJECTORY_GATES` can produce
 findings — those are the stable, machine-comparable hot paths the bench
 harness already floors.  Every other numeric rate in the trajectory
@@ -32,7 +38,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..bench import NO_REGRESSION_FLOOR, TRAJECTORY_GATES
+from ..bench import (
+    NO_REGRESSION_FLOOR,
+    SERVE_CACHE_SPEEDUP_TARGET,
+    SERVE_DEGRADED_SPEEDUP_TARGET,
+    SPEEDUP_TARGET,
+    TRAJECTORY_GATES,
+)
 from .stats import Accumulator, prediction_interval_lower
 
 #: Version tag of the ANALYZE_report.json layout.
@@ -43,6 +55,21 @@ PI_CONFIDENCE = 0.99
 
 #: Minimum historical points before the CI rule can fire.
 MIN_HISTORY = 3
+
+#: The ratio-target rule: ``(gate key, target, condition key)`` over the
+#: latest entry's recorded ``gates``.  A gate whose condition key is set
+#: but false (the partitioned storm on fewer granted workers or cores
+#: than shards) is checked as watch-only.  Booleans count as 0/1, so
+#: ``serve_degraded_complete`` must be true.
+RATIO_TARGETS: Tuple[Tuple[str, float, Optional[str]], ...] = (
+    ("timer_speedup_vs_legacy_handles", SPEEDUP_TARGET, None),
+    ("serve_cache_energy_speedup", SERVE_CACHE_SPEEDUP_TARGET, None),
+    ("serve_cache_wall_speedup", SERVE_CACHE_SPEEDUP_TARGET, None),
+    ("serve_degraded_complete", 1.0, None),
+    ("serve_degraded_failovers", 1.0, None),
+    ("serve_degraded_energy_speedup", SERVE_DEGRADED_SPEEDUP_TARGET, None),
+    ("partition_speedup_vs_serial", SPEEDUP_TARGET, "partition_gate_enforced"),
+)
 
 
 @dataclass(frozen=True)
@@ -60,6 +87,7 @@ class SeriesCheck:
     ratio_vs_best: Optional[float] = None
     pi_lower: Optional[float] = None
     rules_violated: Tuple[str, ...] = ()
+    target: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -68,7 +96,7 @@ class SeriesCheck:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dict (one ``checked`` row of the report)."""
-        return {
+        row = {
             "bench": self.bench,
             "workload": self.workload,
             "metric": self.metric,
@@ -85,6 +113,9 @@ class SeriesCheck:
                 else ("drift" if self.rules_violated else "ok")
             ),
         }
+        if self.target is not None:
+            row["target"] = self.target
+        return row
 
 
 @dataclass
@@ -193,14 +224,17 @@ def detect_regressions(
 ) -> List[SeriesCheck]:
     """Check the latest run of one trajectory against its history.
 
-    Needs at least two entries (a latest and one historical point);
-    shorter trajectories produce no checks.  Series that first appear in
-    the latest entry have no history and are skipped the same way.
+    The floor and CI rules need at least two entries (a latest and one
+    historical point); series that first appear in the latest entry have
+    no history and are skipped.  The ratio-target rule checks the latest
+    entry's ``gates`` on its own.
     """
-    if len(runs) < 2:
+    if not runs:
         return []
+    checks = _ratio_target_checks(runs[-1], bench)
+    if len(runs) < 2:
+        return checks
     latest_commit = str(runs[-1].get("commit", "unknown"))
-    checks: List[SeriesCheck] = []
     for (label, metric), points in sorted(_series(runs).items()):
         history = [v for c, v in points if c != latest_commit]
         latest = [v for c, v in points if c == latest_commit]
@@ -233,6 +267,33 @@ def detect_regressions(
                 ratio_vs_best=ratio,
                 pi_lower=pi_lower,
                 rules_violated=tuple(violated),
+            )
+        )
+    return checks
+
+
+def _ratio_target_checks(
+    run: Mapping[str, Any], bench: str
+) -> List[SeriesCheck]:
+    """The ratio-target rule over one entry's recorded ``gates`` dict."""
+    gates = run.get("gates") or {}
+    commit = str(run.get("commit", "unknown"))
+    checks: List[SeriesCheck] = []
+    for key, target, condition in RATIO_TARGETS:
+        if key not in gates:
+            continue
+        value = float(gates[key])
+        checks.append(
+            SeriesCheck(
+                bench=bench,
+                workload="gates",
+                metric=key,
+                gated=condition is None or bool(gates.get(condition)),
+                commit=commit,
+                value=value,
+                n_history=0,
+                rules_violated=("target",) if value < target else (),
+                target=target,
             )
         )
     return checks

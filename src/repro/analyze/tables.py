@@ -29,7 +29,7 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         if value != value:  # NaN
             return "nan"
-        if value == int(value) and abs(value) < 1e15:
+        if abs(value) < 1e15 and value == int(value):  # inf falls through
             return str(int(value))
         return f"{value:.6g}"
     return str(value)

@@ -11,10 +11,13 @@ invariants the optimization work must preserve:
 * batched broadcast fan-out vs. the legacy per-receiver path -> identical
   :class:`MediumStats` and ledger in EVERY regime, including loss AND
   jitter together (event counts intentionally differ: the batch path
-  schedules one delivery event per transmission / distinct arrival time);
-* the handle-free timer facility must beat a faithful replica of the
-  pre-wheel ``EventHandle`` implementation by >= 2x on the timer-churn
-  workload.
+  schedules one delivery event per transmission / distinct arrival time).
+
+Each run entry also records the measured speedup ratios (``gates``).
+This module only records them; after writing the artifacts a full run
+hands them to :mod:`repro.analyze.regression`, which decides pass/fail
+(the ratio targets below plus the trajectory floor and CI rules) and
+sets the exit status.
 
 Usage::
 
@@ -23,8 +26,6 @@ Usage::
     python -m repro.bench --workers 4      # micro + E1 suites through the
                                            # repro.sweep shard scheduler on
                                            # 4 worker processes
-    python -m repro.bench --baseline FILE  # embed pre-change numbers and
-                                           # assert the >= 2x speedup target
     python -m repro.bench --profile        # cProfile the measurement phase,
                                            # dump BENCH_profile.pstats next
                                            # to the BENCH_*.json artifacts
@@ -72,12 +73,12 @@ SPEEDUP_TARGET = 2.0
 NO_REGRESSION_FLOOR = 0.85
 
 #: The (workload, rate-metric) pairs whose recorded trajectory is gated —
-#: the stable, machine-comparable hot paths.  Shared with
-#: :mod:`repro.analyze.regression`, which applies the same floor plus a
-#: prediction-interval rule to these series; everything else in the
-#: trajectory is recorded and reported but never gated (timer/partition
-#: speedups are gated as *ratios* measured on one machine, and the E1
-#: wall clocks are too small/noisy to compare across runner hardware).
+#: the stable, machine-comparable hot paths.  :mod:`repro.analyze.regression`
+#: applies the floor plus a prediction-interval rule to these series;
+#: everything else in the trajectory is recorded and reported but never
+#: gated (timer/partition speedups are gated as *ratios* measured on one
+#: machine, and the E1 wall clocks are too small/noisy to compare across
+#: runner hardware).
 TRAJECTORY_GATES = (
     ("medium_broadcast_storm", "deliveries_per_s"),
     ("engine_event_pump", "events_per_s"),
@@ -497,7 +498,7 @@ def partition_storm(
     never drawn, so K is fingerprint-neutral and serial == partitioned is
     checked end to end inside the workload itself.  The recorded
     ``speedup`` is only meaningful when ``workers`` real processes ran
-    (see the cores-aware gate in :func:`_gate`).
+    (see ``partition_gate_enforced`` in :func:`_gate`).
     """
     from .partition import effective_procs, run_partitioned_storm
 
@@ -1040,7 +1041,7 @@ def load_trajectory(path: str, bench: str) -> List[Dict[str, Any]]:
     """Existing trajectory of ``path``; migrates schema-1 snapshots.
 
     The public read accessor of the ``BENCH_*.json`` layout (used by
-    :mod:`repro.analyze` as well as this module's own gates): a schema-1
+    :mod:`repro.analyze` as well as this module's :func:`main`): a schema-1
     document was a single run with an optionally embedded pre-change
     ``baseline`` block; both become trajectory entries so the full
     history survives the migration.
@@ -1080,54 +1081,15 @@ def load_trajectory(path: str, bench: str) -> List[Dict[str, Any]]:
     return runs
 
 
-#: Backward-compatible alias of the pre-public accessor name.
-_load_runs = load_trajectory
+def _gate(micro: Dict[str, Any]) -> Dict[str, Any]:
+    """The speedup ratios recorded as the run entry's ``gates``.
 
-
-def trajectory_series(
-    runs: Sequence[Dict[str, Any]], workload: str, key: str
-) -> List[Dict[str, Any]]:
-    """The recorded ``(commit, date, value)`` series of one workload metric.
-
-    Schema accessor for dict-valued workload rows (the micro suite);
-    entries missing the workload or the metric are skipped, so a series
-    starts at the commit that introduced the workload.
-    """
-    series: List[Dict[str, Any]] = []
-    for run in runs:
-        row = run.get("workloads", {}).get(workload, {})
-        value = row.get(key) if isinstance(row, dict) else None
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            series.append(
-                {
-                    "commit": run.get("commit", "unknown"),
-                    "date": run.get("date"),
-                    "value": float(value),
-                }
-            )
-    return series
-
-
-def _best_recorded(
-    runs: Sequence[Dict[str, Any]], workload: str, key: str
-) -> Optional[float]:
-    """Best value of ``workloads[workload][key]`` across recorded runs."""
-    values = [point["value"] for point in trajectory_series(runs, workload, key)]
-    return max(values) if values else None
-
-
-def _gate(
-    micro: Dict[str, Any], prior_runs: Sequence[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """The acceptance gates; returns the numbers for the run entry.
-
-    * handle-free timers >= SPEEDUP_TARGET x the legacy-handle replica;
-    * the space-partitioned storm >= SPEEDUP_TARGET x the serial run —
-      enforced only when the machine actually granted the requested
-      worker processes (``partition_gate_enforced``): on a box with
-      fewer cores than shards the speedup is recorded but not gated;
-    * already-optimized hot paths (broadcast storm, event pump) within
-      NO_REGRESSION_FLOOR of the best recorded trajectory run.
+    Recorded only: :data:`repro.analyze.regression.RATIO_TARGETS` holds
+    each ratio to its target.  The partitioned storm's target applies
+    only when the machine actually granted the requested worker
+    processes (``partition_gate_enforced``): with fewer granted workers
+    or cores than shards the speedup is recorded but cannot honestly be
+    gated.
     """
     timer_speedup = (
         micro["timer_storm"]["timer_ops_per_s"]
@@ -1137,13 +1099,6 @@ def _gate(
         micro["lossy_jittered_storm"]["deliveries_per_s"]
         / micro["lossy_jittered_storm_legacy_fanout"]["deliveries_per_s"]
     )
-    regressions: Dict[str, float] = {}
-    for workload, key in TRAJECTORY_GATES:
-        if workload not in micro:
-            continue
-        best = _best_recorded(prior_runs, workload, key)
-        if best:
-            regressions[f"{workload}.{key}"] = micro[workload][key] / best
     serve = micro["query_serve"]
     serve_energy_speedup = (
         serve["cold_energy"] / serve["warm_energy"]
@@ -1159,9 +1114,6 @@ def _gate(
         if degraded["recovered_energy"] > 0 else float("inf")
     )
     partition = micro["partition_storm"]
-    # the >= 2x gate needs the requested 4-way pool to have actually run:
-    # with fewer granted workers (or fewer cores) the number is recorded
-    # for the trajectory but cannot honestly be asserted
     partition_enforced = (
         int(partition["workers"]) >= int(partition["partitions"])
         and (os.cpu_count() or 1) >= int(partition["partitions"])
@@ -1178,7 +1130,6 @@ def _gate(
         "partition_speedup_vs_serial": partition["speedup"],
         "partition_workers": int(partition["workers"]),
         "partition_gate_enforced": partition_enforced,
-        "vs_best_recorded": regressions,
     }
 
 
@@ -1193,17 +1144,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--out-dir", default=".", help="directory for BENCH_*.json artifacts"
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="JSON file of pre-change micro numbers to embed as an extra "
-        "trajectory entry (legacy interface; the trajectory itself is now "
-        "the baseline)",
-    )
-    parser.add_argument(
-        "--no-assert-speedup", action="store_true",
-        help="record speedups/regressions without gating on them "
-        "(noisy machines)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -1252,8 +1192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f" procs={row.get('partition_procs', 1)}:"
               f" wall={row['wall_s']:.4f}s fp={row['fingerprint']}")
 
-    micro_runs = load_trajectory(f"{args.out_dir}/BENCH_micro.json", "micro")
-    gates = _gate(micro, micro_runs)
+    gates = _gate(micro)
     print(f"timer wheel vs legacy handles: "
           f"{gates['timer_speedup_vs_legacy_handles']:.2f}x")
     print(f"batched loss+jitter vs legacy fanout: "
@@ -1269,61 +1208,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{gates['partition_speedup_vs_serial']:.2f}x on "
           f"{gates['partition_workers']} workers "
           f"({'gated' if gates['partition_gate_enforced'] else 'recorded only'})")
-    for metric, ratio in gates["vs_best_recorded"].items():
-        print(f"{metric}: {ratio:.2f}x best recorded")
+
     # smoke workloads are too short for stable ratios; --check gates only
     # on the determinism assertions above
-    if not args.no_assert_speedup and not args.check:
-        assert gates["timer_speedup_vs_legacy_handles"] >= SPEEDUP_TARGET, (
-            f"timer wheel only "
-            f"{gates['timer_speedup_vs_legacy_handles']:.2f}x the legacy "
-            f"EventHandle replica (target {SPEEDUP_TARGET}x)"
-        )
-        for axis in ("energy", "wall"):
-            speedup = gates[f"serve_cache_{axis}_speedup"]
-            assert speedup >= SERVE_CACHE_SPEEDUP_TARGET, (
-                f"warm-cache serving only {speedup:.2f}x cheaper than cold "
-                f"on {axis} (target {SERVE_CACHE_SPEEDUP_TARGET}x)"
-            )
-        assert gates["serve_degraded_complete"], (
-            "post-failover serving lost completeness: the recovered pass "
-            "must answer every query from adopted storage"
-        )
-        assert gates["serve_degraded_failovers"] >= 1, (
-            "serve_degraded saw no failover: the armed leader kill never "
-            "triggered healing"
-        )
-        degraded_speedup = gates["serve_degraded_energy_speedup"]
-        assert degraded_speedup >= SERVE_DEGRADED_SPEEDUP_TARGET, (
-            f"post-failover warm serving only {degraded_speedup:.2f}x "
-            f"cheaper than cold on energy "
-            f"(target {SERVE_DEGRADED_SPEEDUP_TARGET}x)"
-        )
-        if gates["partition_gate_enforced"]:
-            assert gates["partition_speedup_vs_serial"] >= SPEEDUP_TARGET, (
-                f"partitioned storm only "
-                f"{gates['partition_speedup_vs_serial']:.2f}x the serial "
-                f"simulator on {gates['partition_workers']} workers "
-                f"(target {SPEEDUP_TARGET}x)"
-            )
-        for metric, ratio in gates["vs_best_recorded"].items():
-            assert ratio >= NO_REGRESSION_FLOOR, (
-                f"{metric} at {ratio:.2f}x of the best recorded run "
-                f"(floor {NO_REGRESSION_FLOOR}x)"
-            )
-
     if args.check:
         print("smoke mode: artifacts not written")
         return 0
 
     commit = _git_commit()
     today = datetime.date.today().isoformat()
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        micro_runs.append({"commit": "external-baseline", "date": today,
-                           "workloads": baseline})
-
+    micro_runs = load_trajectory(f"{args.out_dir}/BENCH_micro.json", "micro")
     run_entry = {
         "commit": commit,
         "date": today,
@@ -1346,7 +1240,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         print(f"wrote {path}")
-    return 0
+
+    from .analyze.ingest import ingest_trajectory
+    from .analyze.regression import analyze_trajectories
+    from .analyze.tables import regression_table
+
+    docs = [
+        ingest_trajectory(f"{args.out_dir}/{name}", expect_bench=bench)
+        for name, bench in (("BENCH_micro.json", "micro"), ("BENCH_e1.json", "e1"))
+    ]
+    report = analyze_trajectories([(doc.bench, doc.runs) for doc in docs])
+    print(regression_table(report))
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

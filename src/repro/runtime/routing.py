@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional,
 from ..core.coords import Direction, GridCoord
 from ..simulator.network import Packet
 from ..simulator.process import Process
+from ..simulator.trace import stable_unit
 from .binding import Binding
 from .topology_emulation import EmulatedTopology
 
@@ -74,24 +75,6 @@ class CorruptedFrame:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CorruptedFrame({self.original!r})"
-
-
-def _stable_unit(*parts: int) -> float:
-    """Deterministic hash of integers to ``[0, 1)`` (splitmix64-style).
-
-    Retry jitter must be seeded yet must not consume draws from the shared
-    medium RNG (that would perturb the loss/jitter stream of every other
-    transmission), so it is derived purely from ``(node, uid, attempt)``.
-    """
-    mask = (1 << 64) - 1
-    x = 0x9E3779B97F4A7C15
-    for p in parts:
-        x = (x ^ (p & mask)) & mask
-        x = (x * 0xBF58476D1CE4E5B9) & mask
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
 
 
 @dataclass
@@ -412,7 +395,7 @@ class TransportProcess(Process):
         if delay > self.backoff_max:
             delay = self.backoff_max
         if self.backoff_jitter > 0.0:
-            u = _stable_unit(self.node_id, uid[0], uid[1], attempt)
+            u = stable_unit(self.node_id, uid[0], uid[1], attempt)
             delay *= 1.0 + self.backoff_jitter * u
         return delay
 

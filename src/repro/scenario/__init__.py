@@ -13,6 +13,7 @@ the interfaces, the RNG stream discipline, and the fingerprint contract.
 """
 
 from .attacker import Attacker, AttackerOutcome
+from .demo import demo_round, demo_scenario
 from .inject import ScenarioInjector
 from .link import (
     LinkGate,
@@ -23,7 +24,6 @@ from .link import (
     link_model_from_dict,
 )
 from .mobility import MobilityModel, Move, plan_cell_hops
-from .selfcheck import self_check
 from .sources import SourcePeriodModel
 from .spec import Scenario, ScenarioReport, merge_scenario_reports
 
@@ -41,8 +41,9 @@ __all__ = [
     "ScenarioReport",
     "SourcePeriodModel",
     "UnitDisk",
+    "demo_round",
+    "demo_scenario",
     "link_model_from_dict",
     "merge_scenario_reports",
     "plan_cell_hops",
-    "self_check",
 ]

@@ -27,9 +27,6 @@ workload of grid-cell query serving:
   cells under seeded backoff then disclose what they have, and with
   ``healing`` configured the engine keeps serving across leader failover
   (:mod:`repro.serve.chaos` is the acceptance campaign).
-
-``python -m repro serve --self-check`` runs the CI acceptance matrix
-(:mod:`repro.serve.selfcheck`).
 """
 
 from .admission import (
@@ -50,7 +47,6 @@ from .engine import (
     ServeConfig,
     ServeReport,
 )
-from .selfcheck import self_check
 
 __all__ = [
     "AdmissionController",
@@ -67,6 +63,5 @@ __all__ = [
     "TenantPolicy",
     "batch_rounds",
     "chaos_soak",
-    "self_check",
     "synthesize_arrivals",
 ]

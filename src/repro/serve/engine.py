@@ -52,10 +52,9 @@ from ..runtime.routing import (
     _WATCH_TIMER,
     TransportEnvelope,
     TransportProcess,
-    _stable_unit,
 )
 from ..runtime.stack import DeployedStack
-from ..simulator.trace import stable_digest
+from ..simulator.trace import stable_digest, stable_unit
 from .admission import AdmissionController, Arrival, TenantPolicy
 
 #: Inner-payload tags of the serving protocol (request carries the query
@@ -894,7 +893,7 @@ class QueryEngine:
         cfg = self.config
         cap = cfg.retry_max if cfg.retry_max is not None else 8.0 * cfg.retry_base
         delay = min(cfg.retry_base * cfg.retry_factor ** (attempt - 1), cap)
-        return delay * (1.0 + cfg.retry_jitter * _stable_unit(0x5EED, qid, attempt))
+        return delay * (1.0 + cfg.retry_jitter * stable_unit(0x5EED, qid, attempt))
 
     def _retry_check(self, active: _ActiveQuery, attempt: int) -> None:
         """One scheduled retry: re-request whatever is still missing."""

@@ -10,16 +10,14 @@ programming style.
 from .engine import EventHandle, Simulator
 from .network import Packet, WirelessMedium
 from .process import Process, ProcessHost
-from .trace import EventTrace, MediumStats, TraceRecord
+from .trace import MediumStats
 
 __all__ = [
     "EventHandle",
-    "EventTrace",
     "MediumStats",
     "Packet",
     "Process",
     "ProcessHost",
     "Simulator",
-    "TraceRecord",
     "WirelessMedium",
 ]

@@ -1,16 +1,16 @@
-"""Simulation statistics and tracing.
+"""Simulation statistics and deterministic hashing.
 
 :class:`MediumStats` aggregates the channel-level counters every experiment
 reports (messages, data units, drops, per-protocol breakdowns);
-:class:`EventTrace` is an optional structured log for debugging protocol
-runs and for the convergence-time measurements of experiments E4/E5.
+:func:`stable_digest` and :func:`stable_unit` are the stable hashes that
+fingerprints and seeded counter draws are built on.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 
 def stable_digest(obj: Any) -> str:
@@ -24,6 +24,25 @@ def stable_digest(obj: Any) -> str:
     comparable across shards, machines, and commits.
     """
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def stable_unit(*parts: int) -> float:
+    """Deterministic hash of integers to ``[0, 1)`` (splitmix64-style).
+
+    Seeded randomness that never consumes a shared RNG stream: transport
+    retry jitter, serve retry backoff and scenario link admission derive
+    their draws purely from identities such as ``(node, uid, attempt)``,
+    so no other transmission's loss/jitter draws are perturbed.
+    """
+    mask = (1 << 64) - 1
+    x = 0x9E3779B97F4A7C15
+    for p in parts:
+        x = (x ^ (p & mask)) & mask
+        x = (x * 0xBF58476D1CE4E5B9) & mask
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & mask
+        x ^= x >> 31
+    return (x >> 11) / float(1 << 53)
 
 
 @dataclass
@@ -116,38 +135,3 @@ class MediumStats:
     def fingerprint_digest(self) -> str:
         """JSON-friendly digest of :meth:`fingerprint` for result records."""
         return stable_digest(self.fingerprint())
-
-
-@dataclass
-class TraceRecord:
-    """One structured trace entry: (time, node, event, detail)."""
-
-    time: float
-    node: int
-    event: str
-    detail: Any = None
-
-
-class EventTrace:
-    """Append-only structured log with simple query helpers."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.records: List[TraceRecord] = []
-
-    def log(self, time: float, node: int, event: str, detail: Any = None) -> None:
-        """Append a record (no-op when disabled)."""
-        if self.enabled:
-            self.records.append(TraceRecord(time, node, event, detail))
-
-    def of_event(self, event: str) -> List[TraceRecord]:
-        """All records with a given event tag."""
-        return [r for r in self.records if r.event == event]
-
-    def last_time(self, event: Optional[str] = None) -> float:
-        """Timestamp of the last (matching) record; 0.0 if none."""
-        matching = self.records if event is None else self.of_event(event)
-        return matching[-1].time if matching else 0.0
-
-    def __len__(self) -> int:
-        return len(self.records)

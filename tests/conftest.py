@@ -90,3 +90,18 @@ def dense_deployment8():
     net = make_deployment(side=8, n_random=400, seed=11)
     assert net.validate_protocol_preconditions() == []
     return net
+
+
+@pytest.fixture(scope="module")
+def served_stack():
+    """The serving deployment: 4x4 cells, 140 nodes, seed 7, with the
+    level-1 gathered storage a query engine serves from.
+
+    Module-scoped: tests may kill and revive nodes but must leave the
+    stack as they found it.
+    """
+    from repro.serve.chaos import build_serving_stack
+
+    stack, storage = build_serving_stack(side=4, seed=7, n_nodes=140)
+    assert len(storage) == 4
+    return stack, storage

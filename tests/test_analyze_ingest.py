@@ -191,6 +191,35 @@ class TestMemoization:
             k: g.to_dict() for k, g in cold.groups.items()
         }
 
+    def test_cold_pass_reads_each_record_once_and_matches_hand_computation(
+        self, tmp_path
+    ):
+        sinks, total = [], 0
+        for shard in range(2):
+            sink = tmp_path / f"shard{shard}.jsonl"
+            records = ok_records(make_spec(f"hand-{shard}"), shard=shard)
+            write_sink(sink, records)
+            sinks.append(str(sink))
+            total += len(records)
+        cold = MemoizedAggregator(cache_dir=str(tmp_path / "cache")).aggregate(
+            sinks, GroupQuery(by=("loss",))
+        )
+        assert cold.stats.misses == 2 and cold.stats.records_read == total
+        expected = {}
+        for sink in sinks:
+            for record in ingest_jsonl(sink).records:
+                if record.ok and not record.audit:
+                    key = f"loss={record.param_dict()['loss']}"
+                    expected.setdefault(key, []).append(
+                        record.metric_dict()["deliveries"]
+                    )
+        assert set(cold.groups) == set(expected)
+        for key, values in expected.items():
+            acc = cold.groups[key].metrics["deliveries"]
+            assert acc.count == len(values)
+            assert acc.mean == pytest.approx(sum(values) / len(values), rel=1e-9)
+            assert (acc.min, acc.max) == (min(values), max(values))
+
     def test_grown_campaign_rereads_only_the_new_shard(self, tmp_path):
         first = tmp_path / "shard0.jsonl"
         write_sink(first, ok_records(make_spec("grow-0"), shard=0))

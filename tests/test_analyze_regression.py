@@ -10,6 +10,7 @@ pass clean over the real committed ``BENCH_*.json`` artifacts.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -20,10 +21,12 @@ from repro.analyze.regression import (
     detect_regressions,
     write_report,
 )
+from repro.analyze.ingest import ingest_trajectory
 from repro.analyze.tables import regression_table
 from repro.bench import NO_REGRESSION_FLOOR, TRAJECTORY_GATES
 
 GATED_WORKLOAD, GATED_METRIC = TRAJECTORY_GATES[0]
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def trajectory(values, workload=GATED_WORKLOAD, metric=GATED_METRIC):
@@ -142,6 +145,7 @@ class TestReport:
         write_report(str(second), analyze_trajectories(docs))
         assert first.read_bytes() == second.read_bytes()
         doc = json.loads(first.read_text())
+        assert doc["schema"] == 1
         assert doc["ok"] is False
         (finding,) = doc["findings"]
         assert finding["workload"] == GATED_WORKLOAD
@@ -161,19 +165,61 @@ class TestReport:
         assert GATED_WORKLOAD in lines[2] and GATED_METRIC in lines[2]
 
     def test_committed_artifacts_pass_clean(self):
-        """The real BENCH_*.json trajectories must not trip the gates."""
-        import os
+        """The real BENCH_*.json trajectories must not trip the gates.
 
-        from repro.analyze.ingest import ingest_trajectory
-
-        root = os.path.join(os.path.dirname(__file__), "..")
+        Resolved from the repository root, never the working directory,
+        so the check cannot silently skip."""
         docs = []
         for filename, bench in (("BENCH_micro.json", "micro"), ("BENCH_e1.json", "e1")):
-            path = os.path.join(root, filename)
-            if os.path.exists(path):
-                doc = ingest_trajectory(path, expect_bench=bench)
-                docs.append((doc.bench, doc.runs))
-        if not docs:
-            pytest.skip("no committed BENCH_*.json artifacts")
+            doc = ingest_trajectory(os.path.join(REPO, filename), expect_bench=bench)
+            docs.append((doc.bench, doc.runs))
         report = analyze_trajectories(docs)
         assert report.ok, [c.to_dict() for c in report.findings]
+        assert len(report.checked) >= 4
+
+
+def planted(**gates):
+    """A one-entry trajectory whose latest entry recorded ``gates``."""
+    return [{"commit": "c0", "date": None, "workloads": {}, "gates": gates}]
+
+
+def committed_micro():
+    path = os.path.join(REPO, "BENCH_micro.json")
+    return list(ingest_trajectory(path, expect_bench="micro").runs)
+
+
+class TestRatioTargets:
+    @pytest.mark.parametrize(
+        "runs, finding",
+        [
+            (planted(timer_speedup_vs_legacy_handles=1.5),
+             "timer_speedup_vs_legacy_handles"),
+            (planted(partition_speedup_vs_serial=0.7,
+                     partition_gate_enforced=False), None),
+            (planted(partition_speedup_vs_serial=0.7,
+                     partition_gate_enforced=True),
+             "partition_speedup_vs_serial"),
+            (planted(serve_degraded_complete=False), "serve_degraded_complete"),
+            (planted(serve_cache_energy_speedup=float("inf"),
+                     serve_cache_wall_speedup=4.0), "serve_cache_wall_speedup"),
+            (committed_micro(), None),
+        ],
+        ids=["timer", "partition-unenforced", "partition-enforced",
+             "degraded-incomplete", "serve-cache-wall", "committed-micro"],
+    )
+    def test_latest_gates_are_held_to_their_targets(self, runs, finding):
+        report = analyze_trajectories([("micro", runs)])
+        assert [c.metric for c in report.findings] == ([finding] if finding else [])
+        assert report.ok == (finding is None)
+        assert "gates" in regression_table(report)  # renders inf ratios too
+        for check in report.findings:
+            assert check.workload == "gates"
+            assert check.rules_violated == ("target",)
+            assert check.to_dict()["target"] == check.target
+
+    def test_unenforced_partition_gate_is_visible_drift(self):
+        report = analyze_trajectories([("micro", planted(
+            partition_speedup_vs_serial=0.7, partition_gate_enforced=False,
+        ))])
+        (drifting,) = report.drift
+        assert drifting.metric == "partition_speedup_vs_serial"

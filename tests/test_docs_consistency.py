@@ -140,3 +140,14 @@ class TestReadmeSnippets:
         # the quickstart's documented outputs hold
         assert namespace["report"].regions == 2
         assert namespace["report"].correct is True
+
+
+class TestNoSelfCheckHarness:
+    def test_no_doc_or_module_mentions_the_removed_flag(self):
+        """Acceptance checks run in pytest; the removed harness flag is not
+        documented, parsed or mentioned in a CLI docstring."""
+        flag = "--self" "-check"
+        paths = [REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+        paths += sorted((REPO / "src" / "repro").rglob("*.py"))
+        offenders = [str(p.relative_to(REPO)) for p in paths if flag in p.read_text()]
+        assert not offenders, offenders

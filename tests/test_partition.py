@@ -19,6 +19,8 @@ The subsystem's contract, pinned here:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,7 @@ def _fingerprint(result):
             tuple(report.injected),
             tuple(report.failovers),
             report.reroutes,
+            report.frames_corrupted,
             report.frames_rejected,
         ),
     )
@@ -96,8 +99,9 @@ def _app_fingerprint(
     jitter: float = 0.0,
     wire: bool = False,
     fault: bool = False,
+    n_random: int = 60,
 ):
-    net = make_deployment(side=side, seed=seed)
+    net = make_deployment(side=side, n_random=n_random, seed=seed)
     stack = deploy(net)
     plan = _boundary_kill_plan(stack, partitions) if fault else None
     result = run_partitioned_application(
@@ -223,6 +227,52 @@ def test_boundary_cell_fault_replays_identically():
     assert len(report[1]) == 1  # the boundary failover, recorded exactly once
 
 
+@pytest.mark.parametrize(
+    "partitions, procs, loss, wire, fault",
+    [
+        (2, 2, 0.0, False, False),
+        (2, 2, 0.15, True, False),
+        (4, 4, 0.0, False, False),
+        (4, 4, 0.15, True, False),
+        (4, 3, 0.15, True, False),  # K=4 multiplexed onto 3 workers
+        (4, 4, 0.05, True, True),  # kill_leader on a shard-boundary cell
+    ],
+)
+def test_dense_serial_equals_one_worker_per_shard(partitions, procs, loss, wire, fault):
+    """The 7-nodes-per-cell matrix, each shard on its own worker process."""
+    kwargs = dict(n_random=8 * 8 * 7, loss=loss, wire=wire, fault=fault)
+    serial = _app_fingerprint(8, partitions, procs=1, **kwargs)
+    assert _app_fingerprint(8, partitions, procs=procs, **kwargs) == serial
+    if fault:
+        assert len(serial[-1][1]) == 1  # the boundary failover, recorded once
+
+
+def test_dense_lossless_k1_byte_identical_to_legacy():
+    side, seed = 8, 11
+    net = make_deployment(side=side, n_random=side * side * 7, seed=seed)
+    legacy = deploy(net).run_application(
+        _spec(side), rng=np.random.default_rng(seed + 1), max_retries=8
+    )
+    assert _app_fingerprint(
+        side, 1, procs=1, seed=seed, n_random=side * side * 7
+    ) == _fingerprint(legacy)
+
+
+def test_quiet_border_storm_terminates_under_the_watchdog():
+    """Range below the stripe width: shards exchange no boundary traffic,
+    and the windowed driver must still advance instead of deadlocking."""
+    quiet = make_deployment(side=8, n_random=8 * 8 * 7, range_cells=0.9, seed=11)
+    serial = run_partitioned_storm(
+        quiet, rounds=4, partitions=1, rng=np.random.default_rng(11)
+    )
+    parallel = run_partitioned_storm(
+        quiet, rounds=4, partitions=4, procs=4,
+        rng=np.random.default_rng(11), wall_timeout_s=60.0,
+    )
+    assert parallel.fingerprint == serial.fingerprint
+    assert parallel.windows > 0
+
+
 def test_storm_fingerprint_procs_invariant():
     net = make_deployment(side=8, seed=11)
     runs = [
@@ -268,7 +318,7 @@ def test_battery_writeback_composes_with_followup_round():
 
 
 def test_effective_procs_clamps_pool_not_shards(monkeypatch):
-    monkeypatch.setenv(SWEEP_WORKERS_ENV, str(8 * (__import__("os").cpu_count() or 1)))
+    monkeypatch.setenv(SWEEP_WORKERS_ENV, str(8 * (os.cpu_count() or 1)))
     budget = effective_procs(4)
     assert budget.procs == 1 and budget.requested == 4 and budget.clamped
     # explicit procs is an operator override of the cpu budget
@@ -277,6 +327,38 @@ def test_effective_procs_clamps_pool_not_shards(monkeypatch):
     assert effective_procs(2, procs=64).procs == 2
     monkeypatch.delenv(SWEEP_WORKERS_ENV)
     assert effective_procs(1).procs == 1
+
+
+def _daemon_budget(_arg=None) -> int:
+    return effective_procs(4, procs=4).procs
+
+
+def test_daemonic_callers_are_pinned_to_one_in_process_worker():
+    import multiprocessing as mp
+
+    pool = mp.get_context("fork").Pool(1)
+    try:
+        assert pool.apply(_daemon_budget) == 1
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+def test_partitioned_storm_speedup_on_granted_workers():
+    """The headline perf claim on real cores: one side-32 storm, serial vs
+    4 shard workers (``partition_storm`` asserts their fingerprints match).
+    The target holds only where the 4-way pool is granted on >= 4 CPUs."""
+    from repro.bench import SPEEDUP_TARGET, partition_storm
+
+    if effective_procs(4).procs < 4 or (os.cpu_count() or 1) < 4:
+        pytest.skip("the speedup target needs 4 granted workers on >= 4 CPUs")
+    row = partition_storm(side=32, rounds=6, partitions=4, seed=11)
+    if row["workers"] < 4:
+        pytest.skip(f"only {row['workers']} workers granted")
+    assert row["speedup"] >= SPEEDUP_TARGET, (
+        f"partitioned storm only {row['speedup']:.2f}x on {row['workers']} "
+        f"workers (target {SPEEDUP_TARGET}x)"
+    )
 
 
 def test_default_lookahead_positive():

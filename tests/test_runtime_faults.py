@@ -189,6 +189,40 @@ class TestAcceptance:
             assert new == best
 
 
+def _matrix_plan(kind: str, cells) -> FaultPlan:
+    if kind == "kill-leaders":
+        return plan_leader_storm(cells, kills=2, at=0.5, seed=3)
+    if kind == "partition+restore":
+        return FaultPlan(events=(
+            FaultEvent(time=0.4, action="partition_links",
+                       links=((0, 1), (0, 2), (0, 3))),
+            FaultEvent(time=6.0, action="restore"),
+        ))
+    return FaultPlan(events=(FaultEvent(time=0.0, action="corrupt_frame", count=6),))
+
+
+@pytest.mark.parametrize("wire", [False, True], ids=["plain", "wire"])
+@pytest.mark.parametrize("reliable", [True, False], ids=["reliable", "unreliable"])
+@pytest.mark.parametrize("kind", ["kill-leaders", "partition+restore", "corrupt-frames"])
+def test_fault_matrix(served_stack, kind, reliable, wire):
+    """Every fault kind under reliable on/off and wire on/off replays
+    byte-identically; reliable leader kills still complete the query."""
+    stack, _ = served_stack  # the same 140-node deployment, for its leaders
+    plan = _matrix_plan(kind, sorted(stack.binding.leaders))
+    _, _, first = run_with_plan(plan, reliable=reliable, wire_format=wire)
+    _, _, again = run_with_plan(plan, reliable=reliable, wire_format=wire)
+    assert first.fingerprint() == again.fingerprint()
+    report = first.fault_report
+    assert report is not None
+    if kind == "kill-leaders" and reliable:
+        assert first.root_payload == SIDE * SIDE
+        assert len(report.failovers) >= 1
+    if kind == "corrupt-frames":
+        # a corrupted frame can itself be lost on the medium (loss 0.05),
+        # so rejected <= corrupted
+        assert 1 <= report.frames_rejected <= report.frames_corrupted
+
+
 class TestPartition:
     def test_partition_then_restore_completes_reliably(self):
         net, stack = fresh_stack()

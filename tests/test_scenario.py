@@ -34,10 +34,12 @@ from repro.scenario import (
     Scenario,
     SourcePeriodModel,
     UnitDisk,
+    demo_round,
+    demo_scenario,
     link_model_from_dict,
     plan_cell_hops,
 )
-from repro.scenario.link import stable_unit
+from repro.simulator.trace import stable_unit
 from repro.simulator.network import Packet
 
 SIDE = 4
@@ -172,6 +174,8 @@ class TestLinkModels:
             LogNormalShadowing(path_loss_exponent=0.0)
         with pytest.raises(ValueError, match="depth"):
             PerPairFading(depth=-0.5)
+        with pytest.raises(ValueError, match="depth"):
+            PerPairFading(depth=1.5)
         with pytest.raises(ValueError, match="unknown link model"):
             link_model_from_dict({"kind": "string-and-cans"})
 
@@ -203,6 +207,8 @@ class TestMobilityModel:
             plan_cell_hops(range(10), [(0, 0)], hops=0)
         with pytest.raises(ValueError, match="distinct nodes"):
             plan_cell_hops(range(3), [(0, 0)], hops=5)
+        with pytest.raises(ValueError):
+            Move(time=-1.0, node=0, cell=(0, 0))
 
     def test_move_node_rewrites_topology(self):
         net = make_network()
@@ -245,6 +251,10 @@ class TestAttackerModel:
         out = atk.pursue([], start_node=None, source_nodes=[1], network=net)
         assert out.as_tuple() == (False, -1.0, 0, -1, -1.0)
 
+    def test_requires_source_cells(self):
+        with pytest.raises(ValueError):
+            Attacker(start_cell=(0, 0), source_cells=())
+
     def test_dict_round_trip(self):
         atk = Attacker(
             start_cell=(0, 0), source_cells=((3, 3), (1, 2)), move_cooldown=2.0
@@ -262,6 +272,10 @@ class TestSourcePeriodModel:
         assert len(events) == 6
         assert events == sorted(events)
         assert {cell for _, cell, _ in events} == {(1, 1), (0, 2)}
+
+    def test_requires_source_cells(self):
+        with pytest.raises(ValueError):
+            SourcePeriodModel(cells=(), period=1.0)
 
     def test_dict_round_trip(self):
         model = SourcePeriodModel(cells=((2, 2),), period=1.5, count=4)
@@ -327,6 +341,7 @@ class TestScenarioRuns:
         again = run_round(Scenario(link=model))
         assert first.fingerprint() == again.fingerprint()
         assert first.scenario_report.link_faded > 0
+        assert first.fingerprint() != run_round(None).fingerprint()
 
     @pytest.mark.parametrize("partitions", [1, 4])
     @pytest.mark.parametrize("wire", [False, True], ids=["pickle", "wire"])
@@ -349,9 +364,32 @@ class TestScenarioRuns:
         rep = result.scenario_report
         assert len(rep.relocations) == len(scn.mobility.moves)
         assert rep.source_emissions + rep.source_skipped == 2
+        assert rep.source_emissions >= 1
         metrics = rep.metrics()
         for key in ("relocations", "link_faded", "attacker_moves"):
             assert key in metrics
+
+
+class TestDemoScenario:
+    """The ``python -m repro scenario`` composition: two sources, five
+    moves and a kill on cell (1, 1)."""
+
+    PLAN = FaultPlan(events=(FaultEvent(time=0.7, action="kill_leader", cell=(1, 1)),))
+
+    def test_worker_processes_with_wire_match_serial(self):
+        scn = demo_scenario()
+        serial = demo_round(scn, wire=True, plan=self.PLAN)
+        sharded = demo_round(scn, partitions=4, procs=4, wire=True, plan=self.PLAN)
+        assert sharded.fingerprint() == serial.fingerprint()
+
+    def test_dict_form_drives_the_identical_run(self):
+        scn = demo_scenario()
+        as_dict = json.loads(json.dumps(scn.to_dict()))
+        assert Scenario.from_dict(as_dict).fingerprint() == scn.fingerprint()
+        assert (
+            demo_round(as_dict, plan=self.PLAN).fingerprint()
+            == demo_round(scn, plan=self.PLAN).fingerprint()
+        )
 
 
 class TestScenarioSweepAxis:

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CountAggregation, VirtualArchitecture
-from repro.runtime import FaultEvent, FaultPlan, deploy
+from repro.runtime import FaultEvent, FaultPlan
 from repro.runtime.query import run_deployed_query
 from repro.serve import (
     Arrival,
@@ -16,20 +15,6 @@ from repro.serve import (
     synthesize_arrivals,
 )
 from repro.sweep import SweepSpec, run_sweep
-
-from conftest import make_deployment
-
-
-@pytest.fixture(scope="module")
-def served_stack():
-    net = make_deployment(side=4, n_random=140, seed=7)
-    stack = deploy(net)
-    va = VirtualArchitecture(4)
-    run = stack.run_application(
-        va.synthesize(CountAggregation(lambda c: True), max_level=1)
-    )
-    assert len(run.exfiltrated) == 4
-    return net, stack, dict(run.exfiltrated)
 
 
 class TestAdmission:
@@ -71,7 +56,7 @@ class TestAdmission:
 
 class TestPersistentEngine:
     def test_clock_is_monotone_across_batches(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         times = []
         for cell in ((3, 3), (1, 1), (3, 3)):
@@ -81,7 +66,7 @@ class TestPersistentEngine:
         assert engine.stats.queries == 3
 
     def test_warm_cache_matches_cold_and_is_radio_silent(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         cold = engine.query((3, 3), reduce_fn=sum)
         tx = engine.medium.stats.transmissions
@@ -91,9 +76,10 @@ class TestPersistentEngine:
         assert engine.medium.stats.transmissions == tx
         assert warm.cache_hits == len(storage) and warm.cache_misses == 0
         assert warm.latency == 0.0
+        assert engine.stats.hit_rate > 0.0
 
     def test_cache_is_per_querier_cell(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         engine.query((3, 3), reduce_fn=sum)
         other = engine.query((1, 1), reduce_fn=sum)
@@ -101,7 +87,7 @@ class TestPersistentEngine:
         assert other.cache_hits == 0
 
     def test_update_field_dirties_one_cell(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         baseline = engine.query((3, 3), reduce_fn=None)
         dirty = engine.storage_cells[0]
@@ -113,7 +99,7 @@ class TestPersistentEngine:
         assert sorted(baseline.value) != sorted(refreshed.value)
 
     def test_invalidate_everything_forces_full_refetch(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         engine.query((3, 3), reduce_fn=sum)
         engine.invalidate()
@@ -122,7 +108,7 @@ class TestPersistentEngine:
         assert refetch.cache_misses == len(storage)
 
     def test_cache_off_never_hits(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage, ServeConfig(cache=False))
         engine.query((3, 3), reduce_fn=sum)
         again = engine.query((3, 3), reduce_fn=sum)
@@ -130,16 +116,32 @@ class TestPersistentEngine:
         assert engine.stats.cache_hits == 0
 
     def test_wrapper_agrees_with_engine(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         wrapped = run_deployed_query(stack, storage, (2, 2), reduce_fn=sum)
         engine = QueryEngine(stack, storage, ServeConfig(cache=False))
         direct = engine.query((2, 2), reduce_fn=sum)
         assert wrapped.value == direct.value
         assert wrapped.responses == direct.responses
         assert wrapped.complete == direct.complete
+        assert wrapped.complete and not wrapped.missing_cells
+
+    def test_loss_is_disclosed_and_reliable_transport_restores(self, served_stack):
+        stack, storage = served_stack
+        lossy = QueryEngine(stack, storage, ServeConfig(
+            loss_rate=0.6, rng=np.random.default_rng(2), cache=False,
+        ))
+        degraded = lossy.query((3, 3), reduce_fn=len)
+        # the seeded run loses responses, and names them instead of
+        # silently reducing over whatever arrived
+        assert not degraded.complete and degraded.missing_cells
+        reliable = QueryEngine(stack, storage, ServeConfig(
+            loss_rate=0.25, rng=np.random.default_rng(3), reliable=True,
+            cache=False,
+        ))
+        assert reliable.query((3, 3), reduce_fn=len).complete
 
     def test_unknown_query_cell_raises(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         with pytest.raises(ValueError):
             engine.query((9, 9))
@@ -147,7 +149,7 @@ class TestPersistentEngine:
 
 class TestServeStream:
     def test_per_tenant_accounting(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         arrivals = synthesize_arrivals(
             sorted(stack.binding.leaders), 10, seed=3, tenants=2
@@ -160,7 +162,7 @@ class TestServeStream:
         assert 0.0 < report.cache_hit_rate <= 1.0
 
     def test_same_seed_engines_fingerprint_identically(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         arrivals = synthesize_arrivals(
             sorted(stack.binding.leaders), 8, seed=6, tenants=2
         )
@@ -184,7 +186,7 @@ class TestServeStream:
         assert run_once(False) == run_once(True)
 
     def test_armed_faults_dirty_the_cache_incrementally(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         victim_cell = engine.storage_cells[0]
         victim = stack.binding.leaders[victim_cell]
@@ -207,7 +209,7 @@ class TestServeStream:
         assert after.missing_cells == [victim_cell]
 
     def test_dead_querier_degrades_to_all_missing(self, served_stack):
-        _, stack, storage = served_stack
+        stack, storage = served_stack
         engine = QueryEngine(stack, storage)
         querier_cell = (1, 2)
         assert querier_cell not in storage

@@ -168,6 +168,57 @@ class TestResume:
         assert len(load_records(path)) == 2 * len(first)
 
 
+#: The loss x jitter grid: 2x2 regimes x 2 replicates + 2 audit dups.
+JITTER_STORM = SweepSpec(
+    name="sched-jitter-test",
+    workload="storm",
+    grid={"loss": [0.0, 0.15], "jitter": [0.0, 0.3]},
+    fixed={"side": 4, "n_random": 70, "rounds": 2},
+    replicates=2,
+    audit_duplicates=2,
+)
+
+
+class TestLossJitterGrid:
+    """Serial vs sharded, resume after a kill, and crash recovery, all
+    over the loss x jitter grid on a real 2-process pool."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        records = run_sweep(JITTER_STORM, workers=1)
+        assert len(records) == len(JITTER_STORM.expand())
+        assert all(r["status"] == "ok" for r in records)
+        return records
+
+    def test_sharded_matches_serial_and_audit_pairs_agree(self, serial):
+        sharded = run_sweep(JITTER_STORM, workers=2, timeout_s=300, retries=1)
+        assert fingerprints(sharded) == fingerprints(serial)
+        audit = audit_determinism(sharded)
+        assert audit.pairs_checked == JITTER_STORM.audit_duplicates and audit.ok
+
+    def test_resume_after_a_torn_mid_sweep_kill(self, serial, tmp_path):
+        path = str(tmp_path / "resume.jsonl")
+        for record in serial[: len(serial) // 2]:
+            append_record(path, record)
+        with open(path, "a") as fh:
+            fh.write('{"schema": 1, "kind": "run", "run_id": "torn')  # killed mid-write
+        resumed = run_sweep(JITTER_STORM, out_path=path, workers=2,
+                            timeout_s=300, retries=1)
+        assert fingerprints(resumed) == fingerprints(serial)
+        assert len({r["run_id"] for r in load_records(path)}) == len(serial)
+
+    def test_crashed_worker_recovers_the_identical_result_set(
+        self, serial, monkeypatch, tmp_path
+    ):
+        victim = next(r for r in JITTER_STORM.expand() if not r.audit)
+        monkeypatch.setenv(CRASH_ENV, victim.run_id)
+        crashed = run_sweep(JITTER_STORM, out_path=str(tmp_path / "crash.jsonl"),
+                            workers=2, timeout_s=300, retries=1)
+        assert fingerprints(crashed) == fingerprints(serial)
+        victim_record = next(r for r in crashed if r["run_id"] == victim.run_id)
+        assert victim_record["attempt"] >= 2
+
+
 class TestWallClockAcceptance:
     @pytest.mark.skipif(
         (os.cpu_count() or 1) < 4,
