@@ -148,11 +148,12 @@ def lossy_jittered_storm(
     net: Optional[RealNetwork] = None,
     batch_fanout: bool = True,
 ) -> Dict[str, Any]:
-    """The loss-AND-jitter regime: interleaved per-receiver draw stream.
+    """The loss-AND-jitter regime: two stable hashes per broadcast.
 
-    Until the batched interleaved-draw path landed, this configuration
-    always fell back to the per-receiver legacy path; it is tracked as its
-    own workload so the trajectory shows that regime's gains separately.
+    Loss is one vectorized hash over the receivers and jitter a second
+    over the survivors, and the survivors' distinct arrival times become
+    separate delivery events; it is tracked as its own workload so the
+    trajectory shows that regime separately from the loss-only storm.
     """
     return medium_broadcast_storm(
         rounds=rounds, loss_rate=loss_rate, seed=seed, net=net,
@@ -494,8 +495,7 @@ def partition_storm(
     once on the classic single simulator (``partitions=1``) and once on
     the K-shard conservative-lookahead runner with one worker process per
     shard (clamped to the machine's budget).  The fingerprints must be
-    identical — at ``loss=0``/``jitter=0`` the shard RNG streams are
-    never drawn, so K is fingerprint-neutral and serial == partitioned is
+    identical — K is fingerprint-neutral, so serial == partitioned is
     checked end to end inside the workload itself.  The recorded
     ``speedup`` is only meaningful when ``workers`` real processes ran
     (see ``partition_gate_enforced`` in :func:`_gate`).
@@ -841,8 +841,8 @@ def e1_partitioned_scaling(
     """The E1 kernel at one large ``side``, serial vs. space-partitioned.
 
     Dispatches the ``e1`` sweep workload once per shard count and asserts
-    every row's fingerprint matches the serial one (the workload runs at
-    ``loss=0``, where K is fingerprint-neutral).  The recorded wall times
+    every row's fingerprint matches the serial one (K is
+    fingerprint-neutral).  The recorded wall times
     track how much of a full deployed round the partitioned runner can
     parallelize; the headline speedup gate lives in ``partition_storm``,
     which isolates the simulation hot path from deployment construction.
@@ -942,15 +942,31 @@ def check_determinism(rounds: int = 5) -> Dict[str, Any]:
     assert a[0] == legacy[0], "batched fan-out changed MediumStats vs legacy path"
     assert a[1] == legacy[1], "batched fan-out changed the energy ledger vs legacy path"
 
-    # the loss-AND-jitter regime: the interleaved per-receiver draw stream
-    # must replay byte-identically through the vectorized path
+    # the loss-AND-jitter regime: the vectorized loss and jitter hashes
+    # must equal the per-receiver path's scalar ones
     lj = _storm_fingerprint(batch_fanout=True, rounds=rounds, jitter=0.3)
     lj_legacy = _storm_fingerprint(batch_fanout=False, rounds=rounds, jitter=0.3)
     assert lj[0] == lj_legacy[0], (
-        "batched loss+jitter fan-out changed MediumStats vs legacy path"
+        "vectorized loss+jitter draws changed MediumStats vs per-receiver draws"
     )
     assert lj[1] == lj_legacy[1], (
-        "batched loss+jitter fan-out changed the energy ledger vs legacy path"
+        "vectorized loss+jitter draws changed the energy ledger vs per-receiver draws"
+    )
+
+    # draws are keyed by the transmission, not by a shard's stream: a
+    # lossy, jittered storm on 4 shards must equal the whole-world run
+    from .partition import run_partitioned_storm
+
+    net = make_deployment(seed=11)
+    storms = [
+        run_partitioned_storm(
+            net, rounds=rounds, partitions=k, procs=1, loss_rate=0.1,
+            jitter=0.3, rng=np.random.default_rng(11),
+        ).fingerprint
+        for k in (1, 4)
+    ]
+    assert storms[0] == storms[1], (
+        "lossy+jittered partitioned storm (K=4) diverged from the K=1 run"
     )
 
     r1 = _reliable_fingerprint(seed=42)
@@ -960,6 +976,7 @@ def check_determinism(rounds: int = 5) -> Dict[str, Any]:
         "storm_same_seed_identical": True,
         "batch_vs_legacy_stats_identical": True,
         "batch_vs_legacy_loss_jitter_identical": True,
+        "partitioned_loss_jitter_identical": True,
         "reliable_same_seed_identical": True,
         "events_batched": a[2],
         "events_legacy": legacy[2],

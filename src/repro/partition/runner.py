@@ -21,8 +21,9 @@ The protocol (full spec: DESIGN.md §12) is windowed conservative PDES:
 
 Determinism (the serial == partitioned invariant) comes from four rules:
 each shard world is built from the *same pickled bytes* whether it runs
-in-process or in a worker; per-shard RNG streams are ``spawn``-ed from
-the root generator once, in shard order; boundary arrivals are injected
+in-process or in a worker; every shard's medium draws loss and jitter
+from stable hashes under one run key carried in those bytes, so a draw
+does not depend on which shard makes it; boundary arrivals are injected
 in ``(time, src_shard, emit_seq)`` order; and merged observables are
 either commutative sums (stats, energy, counters) or owner-resolved
 (exfiltrated values, fault logs, battery write-back).
@@ -34,7 +35,7 @@ import multiprocessing as mp
 import os
 import pickle
 import time as wall_time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from ..core.coords import GridCoord
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..simulator.engine import Simulator
-from ..simulator.network import Packet, PartitionSlice, WirelessMedium
+from ..simulator.network import Packet, PartitionSlice, WirelessMedium, run_key
 from ..simulator.process import Process, ProcessHost
 from ..simulator.trace import MediumStats, stable_digest
 from ..runtime.faults import FaultEvent, FaultInjector, FaultPlan, FaultReport, HealingConfig
@@ -105,10 +106,10 @@ class ProcBudget:
 def effective_procs(partitions: int, procs: Optional[int] = None) -> ProcBudget:
     """Clamp the worker count for a ``partitions``-shard run.
 
-    The shard count K is part of the run's *semantic* configuration (it
-    selects the per-shard RNG streams), so oversubscription is always
-    resolved by shrinking the process pool — workers then multiplex
-    several shard worlds — never by changing K.
+    Oversubscription is resolved by shrinking the process pool —
+    workers then multiplex several shard worlds — never by changing K,
+    so the requested shard layout (and its boundary traffic) is what
+    runs.  Neither knob changes a fingerprint.
 
     The cpu budget binds only when ``procs`` is auto-resolved (``None``):
     an explicit ``procs`` is an operator override, clamped just by the
@@ -157,6 +158,7 @@ class _AppJob:
     fault_plan: Optional[FaultPlan]
     healing: Optional[HealingConfig]
     scenario: Optional[Scenario]
+    rng_key: int
 
 
 @dataclass
@@ -172,6 +174,7 @@ class _StormJob:
     rounds: int
     interval: float
     size_units: float
+    rng_key: int
 
 
 class _StormProcess(Process):
@@ -231,7 +234,7 @@ class _ShardResult:
 class _ShardWorld:
     """One shard's simulator, medium, and resident processes."""
 
-    def __init__(self, job_blob: bytes, shard_id: int, rng: np.random.Generator):
+    def __init__(self, job_blob: bytes, shard_id: int):
         # Unpickling here — even when the world runs in the parent process
         # (serial mode, or several shards multiplexed on one worker) —
         # gives every shard a private replica of the deployment and makes
@@ -258,7 +261,7 @@ class _ShardWorld:
                 job.network,
                 cost_model=job.cost_model,
                 loss_rate=job.loss_rate,
-                rng=rng,
+                rng=job.rng_key,
                 jitter=job.jitter,
             )
             if part is not None:
@@ -270,7 +273,7 @@ class _ShardWorld:
             self.network = job.stack.network
             self.sim, self.medium, self.host = job.stack.make_harness(
                 loss_rate=job.loss_rate,
-                rng=rng,
+                rng=job.rng_key,
                 jitter=job.jitter,
                 partition=part,
             )
@@ -475,10 +478,8 @@ class _ShardWorld:
 class _SerialShards:
     """All shard worlds multiplexed in the calling process."""
 
-    def __init__(self, job_blob: bytes, rngs: List[np.random.Generator]):
-        self.worlds = [
-            _ShardWorld(job_blob, sid, rng) for sid, rng in enumerate(rngs)
-        ]
+    def __init__(self, job_blob: bytes, partitions: int):
+        self.worlds = [_ShardWorld(job_blob, sid) for sid in range(partitions)]
 
     def advance_all(self, horizon: float, inbox: Dict[int, List]) -> List[Tuple]:
         return [w.advance(horizon, inbox[w.shard_id]) for w in self.worlds]
@@ -496,11 +497,7 @@ def _worker_main(conn, shard_ids: List[int]) -> None:
     the parent (which re-raises) instead of dying silently."""
     try:
         job_blob = conn.recv_bytes()
-        rngs = conn.recv()
-        worlds = {
-            sid: _ShardWorld(job_blob, sid, rng)
-            for sid, rng in zip(shard_ids, rngs)
-        }
+        worlds = {sid: _ShardWorld(job_blob, sid) for sid in shard_ids}
         conn.send(("ready", None))
         while True:
             msg = conn.recv()
@@ -539,14 +536,14 @@ class _PipeShards:
     def __init__(
         self,
         job_blob: bytes,
-        rngs: List[np.random.Generator],
+        partitions: int,
         procs: int,
         wall_timeout_s: Optional[float],
     ):
         ctx = mp.get_context()
         self._timeout = wall_timeout_s
         self._assignment: List[List[int]] = [[] for _ in range(procs)]
-        for sid in range(len(rngs)):
+        for sid in range(partitions):
             self._assignment[sid % procs].append(sid)
         self._conns = []
         self._procs = []
@@ -558,7 +555,6 @@ class _PipeShards:
             proc.start()
             child_conn.close()
             parent_conn.send_bytes(job_blob)
-            parent_conn.send([rngs[sid] for sid in shard_ids])
             self._conns.append(parent_conn)
             self._procs.append(proc)
         for conn in self._conns:
@@ -680,24 +676,13 @@ def _pickle_job(job) -> bytes:
 
 def _make_shards(
     job_blob: bytes,
-    rngs: List[np.random.Generator],
+    partitions: int,
     procs: int,
     wall_timeout_s: Optional[float],
 ):
     if procs <= 1:
-        return _SerialShards(job_blob, rngs)
-    return _PipeShards(job_blob, rngs, procs, wall_timeout_s)
-
-
-def _spawn_rngs(
-    rng: "np.random.Generator | int | None", partitions: int
-) -> List[np.random.Generator]:
-    root = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if partitions == 1:
-        # K=1 must consume the root stream itself: byte-identical to the
-        # legacy single-process run
-        return [root]
-    return list(root.spawn(partitions))
+        return _SerialShards(job_blob, partitions)
+    return _PipeShards(job_blob, partitions, procs, wall_timeout_s)
 
 
 def merge_fault_reports(
@@ -756,14 +741,13 @@ def run_partitioned_application(
     ``procs`` worker processes (``None`` = one per shard, clamped to the
     core budget; ``1`` = in-process serial execution of the identical
     shard protocol).  Returns a ``DeployedRunResult`` whose fingerprint
-    is invariant to ``procs`` and — for K=1 — byte-identical to the
-    legacy path.
+    is invariant to ``procs`` and to ``partitions``: every K reproduces
+    the legacy single-simulator round, loss and jitter included (under
+    the same-instant tie rule of DESIGN.md §12).
 
-    Shard count is part of the seeded configuration: runs with different
-    ``partitions`` draw loss/jitter from different per-shard RNG streams,
-    exactly as sweep shards do.  After the run, owner-shard node state
-    (batteries, liveness) and cell leadership are written back to
-    ``stack``, preserving the multi-round "same batteries" contract.
+    After the run, owner-shard node state (batteries, liveness) and cell
+    leadership are written back to ``stack``, preserving the multi-round
+    "same batteries" contract.
     """
     from ..runtime.stack import DeployedRunResult
 
@@ -800,11 +784,11 @@ def run_partitioned_application(
         fault_plan=fault_plan,
         healing=healing,
         scenario=scenario,
+        rng_key=run_key(rng, loss_rate, jitter),
     )
     job_blob = _pickle_job(job)
-    rngs = _spawn_rngs(rng, partitions)
     budget = effective_procs(partitions, procs)
-    shards = _make_shards(job_blob, rngs, budget.procs, wall_timeout_s)
+    shards = _make_shards(job_blob, partitions, budget.procs, wall_timeout_s)
     try:
         _drive_windows(shards, partitions, lookahead, max_events, wall_timeout_s)
         results = shards.finalize_all()
@@ -937,9 +921,9 @@ def run_partitioned_storm(
 
     ``partitions=1`` runs the legacy whole-world path (one simulator, no
     window machinery) — the honest serial baseline the bench's speedup
-    gate compares against.  With ``loss_rate == jitter == 0`` no RNG is
-    consumed, so the outcome fingerprint is invariant across K and the
-    bench asserts serial == partitioned on top of timing.
+    gate compares against.  The outcome fingerprint is invariant across
+    K, lossy and jittered storms included, so the bench asserts serial ==
+    partitioned on top of timing.
     """
     cost_model = cost_model or UniformCostModel()
     if lookahead is None:
@@ -955,11 +939,11 @@ def run_partitioned_storm(
         rounds=rounds,
         interval=interval,
         size_units=size_units,
+        rng_key=run_key(rng, loss_rate, jitter),
     )
     job_blob = _pickle_job(job)
-    rngs = _spawn_rngs(rng, partitions)
     if partitions == 1:
-        world = _ShardWorld(job_blob, 0, rngs[0])
+        world = _ShardWorld(job_blob, 0)
         world.sim.run(max_events=max_events)
         if world.sim.pending:
             raise RuntimeError("storm did not quiesce within the event budget")
@@ -969,7 +953,7 @@ def run_partitioned_storm(
     else:
         budget = effective_procs(partitions, procs)
         used_procs = budget.procs
-        shards = _make_shards(job_blob, rngs, budget.procs, wall_timeout_s)
+        shards = _make_shards(job_blob, partitions, budget.procs, wall_timeout_s)
         try:
             windows = _drive_windows(
                 shards, partitions, lookahead, max_events, wall_timeout_s

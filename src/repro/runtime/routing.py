@@ -135,7 +135,7 @@ class TransportProcess(Process):
         ``ack_timeout * backoff_factor**k``, capped at ``backoff_max``
         and stretched by up to ``backoff_jitter`` of itself using a
         deterministic hash of ``(node, uid, attempt)`` — seeded
-        exponential backoff that never touches the medium RNG stream.
+        exponential backoff independent of the medium's loss draws.
         ``backoff_factor=1.0`` with ``backoff_jitter=0.0`` recovers the
         legacy fixed interval.
     dedup_window:

@@ -283,10 +283,11 @@ class DeployedStack:
         ``partitions=K`` (K > 1) hands the round to the space-partitioned
         runner (:mod:`repro.partition`): K cell-aligned shards advanced
         under conservative lookahead on up to ``partition_procs`` worker
-        processes.  K is part of the seeded configuration (per-shard RNG
-        streams); the worker count is a pure perf knob — fingerprints are
-        identical for any ``partition_procs``, and ``partitions=1`` is
-        byte-identical to this legacy path.
+        processes.  Both K and the worker count are pure perf knobs:
+        loss and jitter are stable hashes of each transmission under one
+        run key, so fingerprints are identical for any ``partitions`` and
+        ``partition_procs`` (under the same-instant tie rule of DESIGN.md
+        §12), and ``partitions=1`` is byte-identical to this legacy path.
 
         ``scenario`` plugs in the world models of :mod:`repro.scenario`
         (DESIGN.md §14) — a :class:`~repro.scenario.Scenario` or its dict

@@ -11,11 +11,11 @@ whether the receiver hears the frame at all.
 
 Determinism contract (the part that keeps serial == partitioned):
 
-* Per-packet admission NEVER consumes the medium RNG — that would shift
-  the loss/jitter stream of every other transmission.  Decisions derive
-  from (a) link parameters drawn **once** at gate-build time from the
-  model's own declarative ``seed`` (identical on every shard replica,
-  iterated in sorted adjacency order), and (b) a splitmix64-style counter
+* Per-packet admission draws from no shared stream, so it cannot shift
+  any other transmission's verdict.  Decisions derive from (a) link
+  parameters drawn **once** at gate-build time from the model's own
+  declarative ``seed`` (identical on every shard replica, iterated in
+  sorted adjacency order), and (b) a splitmix64-style counter
   hash per directed link, so the *n*-th packet on link ``(u, v)`` gets
   the same verdict in every execution mode.
 * A node's transmissions happen only on its owning shard, so the per-link
@@ -67,10 +67,10 @@ class LinkGate:
     """Per-directed-link packet admission, installed on the medium.
 
     ``admit(src, dst)`` is called once per potential reception, *after*
-    liveness and blocked-link filtering and *before* any loss/jitter RNG
-    draw.  Reception probabilities are cached per link and invalidated by
-    the network's liveness generation (mobility bumps it on every move, so
-    distance-dependent models track node positions).
+    liveness and blocked-link filtering and *before* the medium's
+    loss/jitter draws.  Reception probabilities are cached per link and
+    invalidated by the network's liveness generation (mobility bumps it
+    on every move, so distance-dependent models track node positions).
     """
 
     __slots__ = ("_net", "_seed", "_prob_fn", "_counts", "_pcache", "_gen", "faded")

@@ -12,23 +12,53 @@ Realizes single-hop radio communication over the unit-disk graph of a
 
 Per-packet latency and energy come from the active
 :class:`~repro.core.cost_model.CostModel`; optional i.i.d. packet loss
-models the paper's *"latency of message delivery is unpredictable in
-typical sensor networks and some messages might even be dropped"*.
+and delivery jitter model the paper's *"latency of message delivery is
+unpredictable in typical sensor networks and some messages might even be
+dropped"*.  Both are stable hashes of the transmission's identity
+(:func:`~repro.simulator.trace.stable_unit`), not draws from a stream.
 Energy is both drawn from each :class:`SensorNode` battery and recorded in
 an :class:`EnergyLedger` keyed by node id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+import math
+import struct
+import zlib
+from dataclasses import dataclass
+from itertools import compress
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.cost_model import CostModel, EnergyLedger, UniformCostModel
 from ..deployment.topology import RealNetwork
 from .engine import Simulator
-from .trace import MediumStats
+from .trace import STABLE_SEED, MediumStats, stable_mix, stable_mix_array
+
+#: Purpose tags of the two stable draws a delivery can take.
+_LOSS = 1
+_JITTER = 2
+#: A virtual time's IEEE-754 bits key its draws.
+_F64 = struct.Struct("<d")
+_U11 = np.uint64(11)
+
+
+def run_key(rng: "np.random.Generator | int | None", loss_rate: float, jitter: float) -> int:
+    """The 64-bit key a medium's loss and jitter draws hash under.
+
+    An int seed is the key itself; a ``Generator`` (or anything
+    ``np.random.default_rng`` accepts) gives one ``integers`` draw.  It
+    is read only when a draw can happen, so a generator shared with
+    later work advances the same whether or not a lossless medium was
+    built from it.
+    """
+    if loss_rate == 0.0 and jitter == 0.0:
+        return 0
+    if isinstance(rng, (int, np.integer)):
+        return int(rng) & ((1 << 64) - 1)
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    return int(gen.integers(0, (1 << 64) - 1, dtype=np.uint64, endpoint=True))
 
 
 @dataclass(frozen=True)
@@ -79,15 +109,17 @@ class WirelessMedium:
     loss_rate:
         Independent per-receiver drop probability in ``[0, 1)``.
     rng:
-        Seeded generator for loss draws (required if ``loss_rate > 0``).
+        Seed of the loss and jitter draws (see :func:`run_key`).
+        Each draw hashes (run key, source, virtual time, packet kind,
+        k, purpose, receiver), k numbering the source's same-kind
+        transmissions at that instant: no draw depends on another.
     jitter:
         Maximum extra random delivery delay (models MAC contention);
         0 keeps delivery deterministic.
     batch_fanout:
         When True (default), broadcasts take the batched fast path in
-        EVERY regime: loss draws and jitter draws are vectorized in
-        alive-neighbour order (stream-identical to the scalar per-receiver
-        draws), and deliveries are bucketed by exact arrival time — a
+        EVERY regime: loss and jitter hashes are vectorized over the
+        receivers, and deliveries are bucketed by exact arrival time — a
         jitter-free broadcast schedules ONE delivery event that charges
         every surviving receiver, a jittered one schedules one event per
         distinct arrival time.  Observable results (:class:`MediumStats`,
@@ -117,10 +149,16 @@ class WirelessMedium:
         self.loss_rate = loss_rate
         self.jitter = jitter
         self.batch_fanout = batch_fanout
-        if isinstance(rng, np.random.Generator):
-            self.rng = rng
-        else:
-            self.rng = np.random.default_rng(rng)
+        self._draws = loss_rate > 0.0 or jitter > 0.0
+        self._key_state = stable_mix(STABLE_SEED, run_key(rng, loss_rate, jitter))
+        # a draw is u = (h >> 11) / 2**53, so u >= loss_rate exactly when
+        # the 64-bit hash h >= ceil(loss_rate * 2**53) << 11
+        self._keep_at = np.uint64(math.ceil(loss_rate * (1 << 53)) << 11)
+        self._jitter_scale = jitter / (1 << 53)
+        # src -> (instant, per-kind transmission counts at that instant)
+        self._tx_slots: Dict[int, Tuple[float, Dict[str, int]]] = {}
+        # src -> (receivers, the same ids as uint64), see _receiver_ids
+        self._id_arrays: Dict[int, Tuple[Any, np.ndarray]] = {}
         self.ledger = EnergyLedger()
         self.stats = MediumStats()
         self._handlers: Dict[int, Callable[[Packet], None]] = {}
@@ -214,89 +252,14 @@ class WirelessMedium:
         )
         self._emit_seq += 1
 
-    def _partition_dispatch(
-        self,
-        packet: Packet,
-        survivors: List[int],
-        delay: float,
-        extras: "np.ndarray | List[float] | None",
-    ) -> None:
-        """Partition-aware broadcast fan-out.
-
-        Replicates the legacy tail exactly for local receivers (same
-        arrival-time buckets in first-seen order, delivered in receiver
-        order) and turns each bucket's remote receivers into one egress
-        record per destination shard.  Every extra event a bucket split
-        causes — relative to the single event a whole-world medium would
-        schedule — is tallied in :attr:`partition_overhead`.
-        """
-        self._check_lookahead(delay)
-        if extras is None:
-            buckets: Dict[float, List[int]] = {delay: survivors}
-        else:
-            buckets = {}
-            for nbr, extra in zip(survivors, extras):
-                time = delay + float(extra)
-                group = buckets.get(time)
-                if group is None:
-                    buckets[time] = [nbr]
-                else:
-                    group.append(nbr)
-        part = self._partition
-        local = part.local
-        shard_of = part.shard_of
-        now = self.sim.now
-        schedule = self.sim.schedule_fire_and_forget
-        for time, group in buckets.items():
-            local_group: List[int] = []
-            remote: Dict[int, List[int]] = {}
-            for nbr in group:
-                if nbr in local:
-                    local_group.append(nbr)
-                else:
-                    bucket = remote.get(shard_of[nbr])
-                    if bucket is None:
-                        remote[shard_of[nbr]] = [nbr]
-                    else:
-                        bucket.append(nbr)
-            if local_group:
-                if len(local_group) == 1:
-                    schedule(time, self._arrive, packet, local_group[0])
-                else:
-                    schedule(time, self._arrive_many, packet, local_group)
-            for dst_shard, remote_group in remote.items():
-                self._emit(dst_shard, now + time, packet, tuple(remote_group))
-            self.partition_overhead += (1 if local_group else 0) + len(remote) - 1
-
-    def _deliver_remote(self, packet: Packet, dst: int) -> bool:
-        """Unicast delivery to a node owned by another shard.
-
-        Loss and jitter draws happen *here*, on the source shard's RNG —
-        mirroring the whole-world medium, where every draw for a
-        transmission is consumed in the sender's context — so the stream
-        each shard generator sees is a pure function of its own nodes'
-        transmissions.
-        """
-        if not self.network.node(dst).alive:
-            return False
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stats.record_drop(packet.kind)
-            return False
-        delay = self.cost_model.tx_latency(packet.size_units)
-        self._check_lookahead(delay)
-        if self.jitter > 0.0:
-            delay += float(self.rng.uniform(0.0, self.jitter))
-        self._emit(self._partition.shard_of[dst], self.sim.now + delay, packet, (dst,))
-        return True
-
     # -- link partitioning (fault injection) --------------------------------------
 
     def block_link(self, a: int, b: int, symmetric: bool = True) -> None:
         """Sever the radio link ``a -> b`` (and ``b -> a`` if symmetric).
 
-        Blocked links drop transmissions before any loss/jitter draw is
-        consumed, so a plan that partitions links perturbs the RNG stream
-        only through the deliveries it removes — deterministically.
+        Blocked links drop transmissions before any loss/jitter draw;
+        since draws are keyed by identity, not stream position, a plan
+        that partitions links changes no other delivery's draws.
         """
         self._blocked_links.add((a, b))
         if symmetric:
@@ -328,16 +291,16 @@ class WirelessMedium:
         Returns the number of scheduled deliveries (post-loss).  A dead
         source transmits nothing.
 
-        The loss and jitter draws are consumed in alive-neighbour order
-        exactly as the scalar per-receiver path would (numpy's vectorized
-        draws are stream-identical to repeated scalar draws), so seeded
-        runs are byte-for-byte reproducible across the fast and legacy
-        paths.
+        Loss is one vectorized hash over the receiver ids and jitter a
+        second over the survivors; each receiver's draws equal the scalar
+        ones of the per-receiver path, so seeded runs are byte-for-byte
+        reproducible across the fast and legacy paths.
         """
         node = self.network.node(src)
         if not node.alive:
             return 0
         self._charge_tx(src, size_units, kind)
+        state = self._draw_state(src, kind) if self._draws else 0
         packet = Packet(src=src, kind=kind, payload=payload, size_units=size_units)
         if self.tx_transform is not None:
             packet = self.tx_transform(packet)
@@ -347,9 +310,8 @@ class WirelessMedium:
             receivers = [r for r in receivers if (src, r) not in blocked]
         gate = self.link_gate
         if gate is not None and receivers:
-            # link-model admission (repro.scenario): decided per directed
-            # link from counter hashes BEFORE any loss/jitter RNG draw, so
-            # gated runs keep the medium stream aligned across modes
+            # link-model admission (repro.scenario), decided per directed
+            # link from its own counter hashes
             admit = gate.admit
             kept = [r for r in receivers if admit(src, r)]
             faded = len(receivers) - len(kept)
@@ -364,36 +326,30 @@ class WirelessMedium:
             # hold the fast path to.
             delivered = 0
             for nbr in receivers:
-                if self._deliver(packet, nbr):
+                if self._deliver(packet, nbr, state):
                     delivered += 1
             self.stats.record_tx(kind, size_units, delivered)
             return delivered
-        jitter = self.jitter
+        keep = None
+        if self._draws:
+            ids = self._receiver_ids(src, receivers)
         if self.loss_rate > 0.0:
-            if jitter > 0.0:
-                # loss AND jitter: the seed interleaves the draws per
-                # receiver (loss_i then jitter_i); replicate that stream
-                # with chunked vectorized draws
-                survivors, extras = self._draw_loss_and_jitter(receivers)
-            else:
-                draws = self.rng.random(len(receivers))
-                survivors = [r for r, d in zip(receivers, draws) if d >= self.loss_rate]
-                extras = None
+            keep = self._hashes(state, _LOSS, ids) >= self._keep_at
+            survivors = list(compress(receivers, keep.tolist()))
             dropped = len(receivers) - len(survivors)
             if dropped:
                 self.stats.record_drops(kind, dropped)
         else:
             survivors = list(receivers)
-            extras = self.rng.uniform(0.0, jitter, len(survivors)) if jitter > 0.0 else None
-        delay = self.cost_model.tx_latency(size_units)
         if survivors:
-            if self._partition is not None:
-                self._partition_dispatch(packet, survivors, delay, extras)
-            elif extras is None:
-                # fan-out fast path: one event charges every receiver
-                self.sim.schedule_fire_and_forget(delay, self._arrive_many, packet, survivors)
-            else:
-                self._schedule_jittered(packet, survivors, delay, extras)
+            extras = None
+            if self.jitter > 0.0:
+                hashes = self._hashes(state, _JITTER, ids)
+                if keep is not None:
+                    hashes = hashes[keep]  # the survivors' jitter draws
+                extras = ((hashes >> _U11) * self._jitter_scale).tolist()
+            delay = self.cost_model.tx_latency(size_units)
+            self._fan_out(packet, survivors, delay, extras)
         self.stats.record_tx(kind, size_units, len(survivors))
         return len(survivors)
 
@@ -413,13 +369,12 @@ class WirelessMedium:
         if dst not in self.network.neighbor_set(src):
             raise ValueError(f"{dst} is not a one-hop neighbour of {src}")
         self._charge_tx(src, size_units, kind)
-        if self._blocked_links and (src, dst) in self._blocked_links:
-            # partitioned link: energy is spent, nothing arrives
-            self.stats.record_drop(kind)
-            self.stats.record_tx(kind, size_units, 0)
-            return False
-        if self.link_gate is not None and not self.link_gate.admit(src, dst):
-            # faded by the link model: energy is spent, nothing arrives
+        state = self._draw_state(src, kind) if self._draws else 0
+        if (self._blocked_links and (src, dst) in self._blocked_links) or (
+            self.link_gate is not None and not self.link_gate.admit(src, dst)
+        ):
+            # partitioned link, or faded by the link model: energy is
+            # spent, nothing arrives
             self.stats.record_drop(kind)
             self.stats.record_tx(kind, size_units, 0)
             return False
@@ -428,112 +383,125 @@ class WirelessMedium:
         )
         if self.tx_transform is not None:
             packet = self.tx_transform(packet)
-        if self._partition is not None and dst not in self._partition.local:
-            ok = self._deliver_remote(packet, dst)
-        else:
-            ok = self._deliver(packet, dst)
+        ok = self._deliver(packet, dst, state)
         self.stats.record_tx(kind, size_units, 1 if ok else 0)
         return ok
 
     # -- internals ---------------------------------------------------------------
 
-    def _draw_loss_and_jitter(
-        self, receivers: "tuple[int, ...] | List[int]"
-    ) -> "tuple[List[int], List[float]]":
-        """Vectorized replication of the interleaved per-receiver stream.
+    def _draw_state(self, src: int, kind: str) -> int:
+        """Hash state of one transmission: (run key, src, now, kind, k).
 
-        The legacy path consumes one double per receiver (the loss draw)
-        plus one more per survivor (the jitter draw), strictly interleaved
-        in alive-neighbour order.  Because a numpy ``Generator`` serves
-        ``random(n)`` from the same double stream as ``n`` scalar draws,
-        the interleaved sequence can be replayed from chunked buffers: walk
-        a buffer classifying each double as a loss or jitter draw, and when
-        it runs out, draw exactly the guaranteed minimum still owed (one
-        per undecided receiver, plus a pending jitter draw) — never
-        overshooting, so the generator state after the broadcast is
-        byte-identical to the legacy path's.
-
-        Returns ``(survivors, extra_delays)`` aligned with each other, in
-        receiver order.
+        ``k`` numbers ``src``'s transmissions of ``kind`` at this instant,
+        so a draw depends only on what the source sent and when — never on
+        what else the medium carried — and the per-source state is one
+        entry per node however long the medium lives.
         """
-        rng = self.rng
-        loss_rate = self.loss_rate
-        jitter = self.jitter
-        n = len(receivers)
-        survivors: List[int] = []
-        extras: List[float] = []
-        buf = rng.random(n)
-        avail = n
-        pos = 0
-        i = 0
-        pending_jitter = False
-        while i < n or pending_jitter:
-            if pos == avail:
-                need = (n - i) + (1 if pending_jitter else 0)
-                buf = rng.random(need)
-                avail = need
-                pos = 0
-            draw = buf[pos]
-            pos += 1
-            if pending_jitter:
-                extras.append(jitter * float(draw))
-                pending_jitter = False
-            elif draw < loss_rate:
-                i += 1
-            else:
-                survivors.append(receivers[i])
-                i += 1
-                pending_jitter = True
-        return survivors, extras
+        now = self.sim.now
+        slot = self._tx_slots.get(src)
+        if slot is None or slot[0] != now:
+            slot = self._tx_slots[src] = (now, {})
+        counts = slot[1]
+        k = counts.get(kind, 0)
+        counts[kind] = k + 1
+        time_bits = int.from_bytes(_F64.pack(now), "little")
+        return stable_mix(
+            self._key_state, src, time_bits, zlib.crc32(kind.encode()), k
+        )
 
-    def _schedule_jittered(
+    def _receiver_ids(self, src: int, receivers: Any) -> np.ndarray:
+        """``receivers`` as uint64, converted again only when the network
+        hands out a new alive-neighbour tuple for ``src``."""
+        cached = self._id_arrays.get(src)
+        if cached is None or cached[0] is not receivers:
+            cached = self._id_arrays[src] = (receivers, np.asarray(receivers, np.uint64))
+        return cached[1]
+
+    @staticmethod
+    def _hashes(state: int, purpose: int, receivers: Any) -> np.ndarray:
+        """Per-receiver 64-bit hashes; ``stable_unit`` maps h to
+        ``(h >> 11) / 2**53``."""
+        return stable_mix_array(stable_mix(state, purpose), receivers)
+
+    def _fan_out(
         self,
         packet: Packet,
         survivors: List[int],
         delay: float,
-        extras: "np.ndarray | List[float]",
+        extras: Optional[List[float]],
     ) -> None:
-        """Time-bucketed fan-out for jittered deliveries.
+        """Schedule a broadcast's deliveries, one event per arrival time.
 
-        Survivors are grouped by their exact arrival time in first-seen
-        (receiver) order: one event per distinct timestamp.  With
-        continuous jitter the buckets are almost always singletons, but
-        coincident arrivals of one transmission collapse into a single
-        ``_arrive_many`` — which delivers in receiver order, exactly the
-        (time, seq) order the legacy per-receiver path produces.
+        Survivors are grouped by exact arrival time in first-seen
+        (receiver) order.  Without jitter that is ONE event charging every
+        receiver; coincident jittered arrivals collapse into one
+        ``_arrive_many``, which delivers in receiver order — exactly the
+        (time, seq) order the per-receiver path produces.  A partitioned
+        medium turns each group's remote receivers into one egress record
+        per destination shard, and tallies every event that split adds
+        over the whole-world medium in :attr:`partition_overhead`.
         """
-        buckets: Dict[float, List[int]] = {}
-        for nbr, extra in zip(survivors, extras):
-            time = delay + float(extra)
-            group = buckets.get(time)
-            if group is None:
-                buckets[time] = [nbr]
-            else:
-                group.append(nbr)
+        part = self._partition
         schedule = self.sim.schedule_fire_and_forget
-        arrive = self._arrive
-        arrive_many = self._arrive_many
+        if extras is None:
+            if part is None:
+                schedule(delay, self._arrive_many, packet, survivors)
+                return
+            buckets: Dict[float, List[int]] = {delay: survivors}
+        else:
+            buckets = {}
+            for nbr, extra in zip(survivors, extras):
+                buckets.setdefault(delay + extra, []).append(nbr)
+        if part is not None:
+            self._check_lookahead(delay)
         for time, group in buckets.items():
+            if part is not None:
+                local_group: List[int] = []
+                remote: Dict[int, List[int]] = {}
+                for nbr in group:
+                    if nbr in part.local:
+                        local_group.append(nbr)
+                    else:
+                        remote.setdefault(part.shard_of[nbr], []).append(nbr)
+                for dst_shard, remote_group in remote.items():
+                    self._emit(dst_shard, self.sim.now + time, packet, tuple(remote_group))
+                self.partition_overhead += (1 if local_group else 0) + len(remote) - 1
+                group = local_group
             if len(group) == 1:
-                schedule(time, arrive, packet, group[0])
-            else:
-                schedule(time, arrive_many, packet, group)
+                schedule(time, self._arrive, packet, group[0])
+            elif group:
+                schedule(time, self._arrive_many, packet, group)
 
     def _charge_tx(self, src: int, size_units: float, kind: str) -> None:
         energy = self.cost_model.tx_energy(size_units)
         self.network.node(src).draw(energy)
         self.ledger.charge(src, energy, f"tx:{kind}")
 
-    def _deliver(self, packet: Packet, receiver: int) -> bool:
+    def _deliver(self, packet: Packet, receiver: int, state: int) -> bool:
+        """Per-receiver delivery: unicasts, and the legacy broadcast path.
+
+        A receiver owned by another shard gets an egress record instead
+        of a local event; its draws are the same either way.
+        """
         if not self.network.node(receiver).alive:
             return False
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        if (
+            self.loss_rate > 0.0
+            and stable_mix(state, _LOSS, receiver) < int(self._keep_at)
+        ):
             self.stats.record_drop(packet.kind)
             return False
         delay = self.cost_model.tx_latency(packet.size_units)
+        part = self._partition
+        remote = part is not None and receiver not in part.local
+        if remote:
+            self._check_lookahead(delay)
         if self.jitter > 0.0:
-            delay += float(self.rng.uniform(0.0, self.jitter))
-        self.sim.schedule_fire_and_forget(delay, self._arrive, packet, receiver)
+            delay += (stable_mix(state, _JITTER, receiver) >> 11) * self._jitter_scale
+        if remote:
+            self._emit(part.shard_of[receiver], self.sim.now + delay, packet, (receiver,))
+        else:
+            self.sim.schedule_fire_and_forget(delay, self._arrive, packet, receiver)
         return True
 
     def _arrive(self, packet: Packet, receiver: int) -> None:

@@ -12,6 +12,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
+import numpy as np
+
 
 def stable_digest(obj: Any) -> str:
     """Short stable hex digest of a fingerprint-style value.
@@ -26,23 +28,48 @@ def stable_digest(obj: Any) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+_MASK = (1 << 64) - 1
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_U_MIX1, _U_MIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
+_U27, _U31 = np.uint64(27), np.uint64(31)
+#: Initial chain state shared by every stable hash.
+STABLE_SEED = 0x9E3779B97F4A7C15
+
+
+def stable_mix(state: int, *parts: int) -> int:
+    """Continue the splitmix64-style chain from a 64-bit ``state`` over
+    ``parts`` (so a caller can hash a shared prefix once)."""
+    x = state
+    for p in parts:
+        x ^= p & _MASK
+        x = (x * _MIX1) & _MASK
+        x ^= x >> 27
+        x = (x * _MIX2) & _MASK
+        x ^= x >> 31
+    return x
+
+
+def stable_mix_array(state: int, parts: Any) -> np.ndarray:
+    """Element ``i`` is ``stable_mix(state, parts[i])`` for non-negative
+    int ``parts``; uint64 products wrap mod 2**64 like the masked chain."""
+    x = np.asarray(parts, dtype=np.uint64) ^ np.uint64(state)
+    x *= _U_MIX1
+    x ^= x >> _U27
+    x *= _U_MIX2
+    x ^= x >> _U31
+    return x
+
+
 def stable_unit(*parts: int) -> float:
     """Deterministic hash of integers to ``[0, 1)`` (splitmix64-style).
 
-    Seeded randomness that never consumes a shared RNG stream: transport
-    retry jitter, serve retry backoff and scenario link admission derive
-    their draws purely from identities such as ``(node, uid, attempt)``,
-    so no other transmission's loss/jitter draws are perturbed.
+    Seeded randomness that never consumes a shared RNG stream: medium
+    loss and jitter, transport retry jitter, serve retry backoff and
+    scenario link admission derive their draws purely from identities
+    such as ``(node, uid, attempt)``, so no draw perturbs any other.
     """
-    mask = (1 << 64) - 1
-    x = 0x9E3779B97F4A7C15
-    for p in parts:
-        x = (x ^ (p & mask)) & mask
-        x = (x * 0xBF58476D1CE4E5B9) & mask
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & mask
-        x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
+    return (stable_mix(STABLE_SEED, *parts) >> 11) / float(1 << 53)
 
 
 @dataclass
@@ -85,7 +112,7 @@ class MediumStats:
 
         Every counter is a sum over disjoint sources — transmissions are
         counted at the sending shard, receptions at the receiving shard,
-        drops at whichever shard consumed the loss draw — so summing the
+        drops at whichever shard made the loss draw — so summing the
         per-shard objects reproduces exactly the counters a whole-world
         medium would have recorded.
         """

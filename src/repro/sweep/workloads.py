@@ -131,8 +131,8 @@ def e1_scaling(params: Dict[str, Any], seed: int) -> WorkloadOutcome:
 
     ``partitions=K`` (K > 1) runs the round on the space-partitioned
     simulator (``repro.partition``).  K is part of the configuration
-    identity (per-shard RNG streams), while the worker-process count is
-    resolved at run time — clamped against the sweep's own parallelism
+    identity (a sweep axis), but like the worker-process count it never
+    changes the fingerprint; the worker count is resolved at run time — clamped against the sweep's own parallelism
     via ``REPRO_SWEEP_WORKERS`` — and recorded in the metrics
     (``partition_procs`` / ``partition_procs_clamped``) without touching
     the fingerprint.

@@ -3,12 +3,14 @@
 The subsystem's contract, pinned here:
 
 * **serial == partitioned**: for every seeded configuration the K-shard
-  conservative-lookahead run produces the same fingerprint whether the
-  shard worlds execute serially in-process or on real worker processes —
-  across loss, jitter, wire-codec, and fault-plan regimes (property test
-  plus pinned regression examples);
+  conservative-lookahead run produces the same fingerprint as the K = 1
+  run, whether the shard worlds execute serially in-process or on real
+  worker processes — across loss, jitter, wire-codec, and fault-plan
+  regimes (property test plus pinned regression examples).  Loss and
+  jitter are stable hashes under one run key, so K never selects a
+  different draw;
 * K = 1 through the partition entry point is byte-identical to the
-  legacy single-simulator path (same root RNG stream);
+  legacy single-simulator path (same run key);
 * battery drain and leader state are written back to the parent stack,
   so a partitioned round composes with follow-up rounds exactly like a
   serial one;
@@ -20,6 +22,7 @@ The subsystem's contract, pinned here:
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -79,9 +82,9 @@ def _fingerprint(result):
     )
 
 
-def _boundary_kill_plan(stack, partitions: int):
-    """A kill_leader landing on a cell that borders a shard cut."""
-    plan = plan_stripes(stack.network, max(2, partitions))
+def _boundary_kill_plan(stack, cut: int):
+    """A kill_leader landing on a cell that borders a ``cut``-stripe cut."""
+    plan = plan_stripes(stack.network, cut)
     cell = next(
         c for c in sorted(plan.boundary_cells) if c in stack.binding.leaders
     )
@@ -100,10 +103,18 @@ def _app_fingerprint(
     wire: bool = False,
     fault: bool = False,
     n_random: int = 60,
+    fault_cut: Optional[int] = None,
 ):
+    """Fingerprint of one seeded partitioned round.
+
+    With ``fault`` a leader on a shard-boundary cell is killed; the cell
+    borders the ``fault_cut``-stripe cut (default ``max(2, partitions)``),
+    so runs at different K can share one fault plan.
+    """
     net = make_deployment(side=side, n_random=n_random, seed=seed)
     stack = deploy(net)
-    plan = _boundary_kill_plan(stack, partitions) if fault else None
+    cut = fault_cut or max(2, partitions)
+    plan = _boundary_kill_plan(stack, cut) if fault else None
     result = run_partitioned_application(
         stack,
         _spec(side),
@@ -274,7 +285,13 @@ def test_quiet_border_storm_terminates_under_the_watchdog():
 
 
 def test_storm_fingerprint_procs_invariant():
+    """A lossy, jittered storm: the whole-world run is the reference, and
+    neither the shard count nor the worker count changes its fingerprint."""
     net = make_deployment(side=8, seed=11)
+    reference = run_partitioned_storm(
+        net, rounds=3, partitions=1, loss_rate=0.1, jitter=0.2,
+        rng=np.random.default_rng(11),
+    )
     runs = [
         run_partitioned_storm(
             net, rounds=3, partitions=4, procs=procs, loss_rate=0.1,
@@ -282,7 +299,8 @@ def test_storm_fingerprint_procs_invariant():
         )
         for procs in (1, 2, 4)
     ]
-    assert len({r.fingerprint for r in runs}) == 1
+    assert {r.fingerprint for r in runs} == {reference.fingerprint}
+    assert reference.drops > 0
     assert runs[0].windows > 0
 
 
@@ -398,8 +416,12 @@ if HAVE_HYPOTHESIS:
     def test_property_serial_equals_partitioned(
         side, partitions, loss, jitter, wire, fault, seed
     ):
+        # one fault plan for every K: the kill lands on a boundary cell of
+        # the max(2, K)-stripe cut whichever K runs it
         kwargs = dict(seed=seed, loss=loss, jitter=jitter, wire=wire,
-                      fault=fault)
+                      fault=fault, fault_cut=max(2, partitions))
         serial = _app_fingerprint(side, partitions, procs=1, **kwargs)
         parallel = _app_fingerprint(side, partitions, procs=2, **kwargs)
         assert serial == parallel
+        whole_world = _app_fingerprint(side, 1, procs=1, **kwargs)
+        assert serial == whole_world

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.core.cost_model import UniformCostModel
 from repro.deployment.node import SensorNode
 from repro.deployment.terrain import CellGrid, Terrain
 from repro.deployment.topology import RealNetwork
 from repro.simulator.engine import Simulator
 from repro.simulator.network import Packet, WirelessMedium
 from repro.simulator.process import Process, ProcessHost
+from repro.simulator.trace import stable_unit
+
+from conftest import make_deployment
 
 
 def triangle_network(tx_range=2.0):
@@ -175,6 +180,38 @@ class TestLossAndJitter:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+    def test_loss_is_the_stable_unit_of_the_transmission(self, sim):
+        """A receiver is lost iff stable_unit(run key, src, time bits,
+        kind, k, LOSS, receiver) < loss_rate, k numbering the source's
+        same-kind transmissions at one instant."""
+        key, loss = 1234, 0.5
+        medium = WirelessMedium(sim, triangle_network(), loss_rate=loss, rng=key)
+        got = [medium.broadcast(0, "k", None) for _ in range(40)]
+        time_bits = int.from_bytes(struct.pack("<d", 0.0), "little")
+        kind = zlib.crc32(b"k")
+        want = [
+            sum(stable_unit(key, 0, time_bits, kind, k, 1, r) >= loss for r in (1, 2))
+            for k in range(40)
+        ]
+        assert got == want
+
+    def test_draw_state_stays_one_entry_per_node(self):
+        """A long-lived lossy, jittered medium keeps one (instant, per-kind
+        counts) draw slot per source, however many rounds it carries."""
+        net = make_deployment(side=4, seed=5)
+        sim = Simulator()
+        medium = WirelessMedium(sim, net, loss_rate=0.2, jitter=0.3, rng=3)
+        ids = net.alive_ids()
+        for r in range(60):
+            for nid in ids:
+                medium.broadcast(nid, "a", r)
+                medium.broadcast(nid, "b", r)
+            sim.run()
+        assert medium.stats.transmissions == 60 * 2 * len(ids)
+        slots = medium._tx_slots
+        assert 0 < len(slots) <= len(net.nodes)
+        assert all(counts == {"a": 1, "b": 1} for _, counts in slots.values())
 
 
 class TestStats:
