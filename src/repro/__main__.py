@@ -22,7 +22,7 @@ printing the matching fingerprints and the scenario report.
 
 ``python -m repro bench ...`` forwards to the perf-regression harness
 (:mod:`repro.bench`), flags included — ``--check``, ``--workers N``,
-``--profile``.
+``--out-dir``.
 
 ``python -m repro analyze ...`` runs the campaign-analytics pipeline
 (:mod:`repro.analyze`): memoized aggregation of sweep JSONL sinks with
@@ -50,28 +50,14 @@ from .core.analysis import estimate_quadtree, quadtree_step_count
 
 def _serve_demo(args: list[str]) -> int:
     """``python -m repro serve [side] [n_queries]``."""
-    import numpy as np
-
     from .core import CountAggregation
-    from .deployment import (
-        CellGrid,
-        Terrain,
-        build_network,
-        ensure_coverage,
-        uniform_random,
-    )
+    from .deployment import covered_network
     from .runtime import deploy
     from .serve import QueryEngine, ServeConfig, synthesize_arrivals
 
     side = int(args[0]) if args else 4
     n_queries = int(args[1]) if len(args) > 1 else 12
-    terrain = Terrain(100.0)
-    cells = CellGrid(terrain, side)
-    rng = np.random.default_rng(7)
-    positions = ensure_coverage(
-        uniform_random(side * side * 9, terrain, rng), cells, rng
-    )
-    net = build_network(positions, cells, tx_range=cells.cell_side * 2.3)
+    net = covered_network(side, side * side * 9, seed=7)
     stack = deploy(net)
     va = VirtualArchitecture(side)
     gather = stack.run_application(
@@ -113,14 +99,14 @@ def _partition_demo(args: list[str]) -> int:
 
     import numpy as np
 
-    from .bench import make_deployment
+    from .deployment import covered_network
     from .partition import effective_procs, run_partitioned_storm
 
     positional = [a for a in args if not a.startswith("-")]
     side = int(positional[0]) if positional else 16
     partitions = int(positional[1]) if len(positional) > 1 else 4
     seed = 11
-    net = make_deployment(side=side, n_random=side * side * 6, seed=seed)
+    net = covered_network(side, side * side * 6, seed)
     budget = effective_procs(partitions)
     print(f"deployment           : {side}x{side} cells, {len(net)} nodes")
     print(f"partitions           : {partitions} shards on {budget.procs} "

@@ -11,8 +11,7 @@ sees only validated, deduplicated, typed values:
   records so nothing is double-counted (reported, never silent), and
   checks every ``#audit`` duplicate's fingerprint against its primary;
 * :func:`ingest_trajectory` reads a ``BENCH_*.json`` / ``SWEEP_*.json``
-  schema-2 trajectory document (schema-1 bench snapshots are migrated
-  through :func:`repro.bench.load_trajectory`).
+  schema-2 trajectory document.
 
 A record that fails validation is an error, not a skip: a sink full of
 records this code cannot interpret must never be summarized as if it had
@@ -244,9 +243,9 @@ def ingest_jsonl(path: str) -> IngestReport:
     return report
 
 
-#: Trajectory-document schema versions this code can read (2 = current;
-#: 1 = the pre-PR2 single-snapshot layout, migrated on load).
-TRAJECTORY_SCHEMAS = (1, 2)
+#: Trajectory-document schema versions this code can read (2 = the
+#: per-commit ``runs`` list; the single-snapshot schema 1 is rejected).
+TRAJECTORY_SCHEMAS = (2,)
 
 
 @dataclass(frozen=True)
@@ -287,12 +286,7 @@ def ingest_trajectory(path: str, expect_bench: Optional[str] = None) -> Trajecto
         raise AnalyzeError(
             f"{path}: bench {bench!r} does not match expected {expect_bench!r}"
         )
-    if schema >= 2:
-        runs = doc.get("runs")
-        if not isinstance(runs, list):
-            raise UnknownSchemaError(f"{path}: schema-2 document without a runs list")
-    else:
-        from ..bench import load_trajectory
-
-        runs = load_trajectory(path, bench)
+    runs = doc.get("runs")
+    if not isinstance(runs, list):
+        raise UnknownSchemaError(f"{path}: schema-2 document without a runs list")
     return TrajectoryDoc(path=path, bench=bench, schema=int(schema), runs=tuple(runs))

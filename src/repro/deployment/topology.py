@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.coords import GridCoord
 from .node import SensorNode
+from .placement import ensure_coverage, uniform_random
 from .terrain import CellGrid, Point, Terrain
 
 
@@ -395,3 +396,19 @@ def build_network(
         for i, p in enumerate(positions)
     ]
     return RealNetwork(nodes, cells)
+
+
+def covered_network(side: int, n_nodes: int, seed: int) -> RealNetwork:
+    """A covered deployment over ``side x side`` cells of a 100 x 100 terrain.
+
+    ``n_nodes`` uniform nodes drawn from ``default_rng(seed)``, topped up
+    until every cell is occupied, with a radio range of 2.3 cell sides
+    (above sqrt(5), so adjacent cells are one hop apart).  The benchmark
+    workloads, the serve and scenario demos and the chaos soak all deploy
+    through this one recipe.
+    """
+    terrain = Terrain(100.0)
+    cells = CellGrid(terrain, side)
+    rng = np.random.default_rng(seed)
+    positions = ensure_coverage(uniform_random(n_nodes, terrain, rng), cells, rng)
+    return build_network(positions, cells, tx_range=cells.cell_side * 2.3)

@@ -28,19 +28,9 @@ def _count_all(cell: Any) -> bool:
 
 def demo_network(seed: int = SEED, side: int = SIDE):
     """The covered ~140-node deployment every demo round runs on."""
-    from ..deployment import (
-        CellGrid,
-        Terrain,
-        build_network,
-        ensure_coverage,
-        uniform_random,
-    )
+    from ..deployment import covered_network
 
-    terrain = Terrain(100.0)
-    cells = CellGrid(terrain, side)
-    rng = np.random.default_rng(seed)
-    positions = ensure_coverage(uniform_random(140, terrain, rng), cells, rng)
-    return build_network(positions, cells, tx_range=cells.cell_side * 2.3)
+    return covered_network(side, 140, seed)
 
 
 def demo_scenario(seed: int = SEED, side: int = SIDE) -> Scenario:

@@ -145,8 +145,8 @@ class MediumStats:
         """Canonical, order-stable serialization of every counter.
 
         Two runs are observationally identical at the channel level iff
-        their fingerprints compare equal; the determinism tests and
-        ``repro.bench`` compare these instead of hand-rolled dicts.
+        their fingerprints compare equal; the determinism tests and the
+        sweep workloads compare these instead of hand-rolled dicts.
         """
         return (
             self.transmissions,

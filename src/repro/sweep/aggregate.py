@@ -3,11 +3,11 @@
 One sweep's JSONL records collapse into a per-grid-point summary dict
 (count, failures, min/mean/max of every numeric metric, distinct
 fingerprints across replicates), and that summary is appended as one
-per-commit entry to a schema-2 trajectory document — the same
-``{"bench": ..., "schema": 2, "runs": [{"commit", "date", "workloads"}]}``
-shape :mod:`repro.bench` maintains for ``BENCH_micro.json`` /
-``BENCH_e1.json``, so sweep summaries accumulate across commits and can be
-diffed by the same tooling.
+per-commit entry to a schema-2 trajectory document —
+``{"bench": ..., "schema": 2, "runs": [{"commit", "date", "workloads"}]}``.
+:func:`append_entry` is the one writer of that layout: the sweep summaries
+and :mod:`repro.bench`'s ``BENCH_micro.json`` / ``BENCH_e1.json`` both go
+through it, so every trajectory accumulates across commits the same way.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from typing import Any, Dict, List, Optional
 
 from .spec import SweepSpec
 
-#: Version tag of the summary-document layout (shared with repro.bench).
+#: Version tag of the trajectory-document layout.
 SUMMARY_SCHEMA = 2
 
 
-def _git_commit() -> str:
+def git_commit() -> str:
+    """Short hash of the checked-out commit (``"unknown"`` outside git)."""
     try:
         return subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -81,12 +82,46 @@ def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
 def make_entry(records: List[Dict[str, Any]], spec: SweepSpec) -> Dict[str, Any]:
     """One trajectory entry: today's commit + the per-point summary."""
     return {
-        "commit": _git_commit(),
+        "commit": git_commit(),
         "date": datetime.date.today().isoformat(),
         "spec_hash": spec.spec_hash(),
         "spec": spec.to_dict(),
         "workloads": summarize(records),
     }
+
+
+def append_entry(path: str, bench: str, entry: Dict[str, Any]) -> Dict[str, Any]:
+    """Append ``entry`` to the ``bench`` trajectory document at ``path``.
+
+    A missing file starts a fresh document; an existing entry for the
+    same commit is replaced (re-runs supersede).  A document that is not
+    valid JSON, belongs to another bench or is not a schema-2 trajectory
+    raises ``ValueError`` and is left untouched: a trajectory is history
+    that no writer may silently discard.  Returns the written document.
+    """
+    runs: List[Dict[str, Any]] = []
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON, refusing to overwrite: {exc}") from exc
+        found = doc.get("bench") if isinstance(doc, dict) else None
+        if found != bench:
+            raise ValueError(
+                f"{path}: holds bench {found!r}, not {bench!r}; refusing to overwrite"
+            )
+        if doc.get("schema") != SUMMARY_SCHEMA or not isinstance(doc.get("runs"), list):
+            raise ValueError(
+                f"{path}: not a schema-{SUMMARY_SCHEMA} trajectory; refusing to overwrite"
+            )
+        runs = [r for r in doc["runs"] if r.get("commit") != entry.get("commit")]
+    runs.append(entry)
+    doc = {"bench": bench, "schema": SUMMARY_SCHEMA, "runs": runs}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return doc
 
 
 def write_summary(
@@ -95,25 +130,10 @@ def write_summary(
 ) -> Dict[str, Any]:
     """Append this sweep's entry to the trajectory document at ``path``.
 
-    An existing entry for the same commit is replaced (re-runs supersede);
-    a document for a different bench name is left alone and started fresh.
-    Returns the written document.
+    The bench name defaults to ``sweep:<spec name>``; see
+    :func:`append_entry` for the replace and refuse rules.  Returns the
+    written document.
     """
-    bench = bench_name or f"sweep:{spec.name}"
-    runs: List[Dict[str, Any]] = []
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if doc.get("bench") == bench and isinstance(doc.get("runs"), list):
-                runs = doc["runs"]
-        except (OSError, json.JSONDecodeError):
-            runs = []
-    entry = make_entry(records, spec)
-    runs = [r for r in runs if r.get("commit") != entry["commit"]]
-    runs.append(entry)
-    doc = {"bench": bench, "schema": SUMMARY_SCHEMA, "runs": runs}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return doc
+    return append_entry(
+        path, bench_name or f"sweep:{spec.name}", make_entry(records, spec)
+    )

@@ -1,7 +1,8 @@
 """The sharded multiprocess sweep scheduler.
 
-:func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec`, filters
-out runs already completed in the sink (resume), and executes the rest:
+:func:`run_sweep` expands a :class:`~repro.sweep.spec.SweepSpec` (or
+several, one pool of runs), filters out runs already completed in the
+sink (resume), and executes the rest:
 
 * ``workers <= 1`` — serially, in-process.  This is the reference path:
   identical records modulo ``shard`` / ``elapsed_s`` / ``wall_s`` fields.
@@ -37,7 +38,7 @@ import time
 from collections import deque
 from queue import Empty
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from .sink import append_record, completed_ok_ids, load_records
 from .spec import RunSpec, SweepSpec
@@ -132,7 +133,7 @@ def _assign_shards(pending: List[RunSpec], workers: int) -> List[List[RunSpec]]:
 
 
 def run_sweep(
-    spec: SweepSpec,
+    spec: Union[SweepSpec, Sequence[SweepSpec]],
     out_path: Optional[str] = None,
     workers: int = 1,
     timeout_s: Optional[float] = None,
@@ -144,18 +145,22 @@ def run_sweep(
 ) -> List[Dict[str, Any]]:
     """Execute a sweep; returns one record per expanded run, sorted by id.
 
+    A sequence of specs runs as one pool: their runs share the shards, so
+    a suite of different workloads parallelizes like one grid.
     ``out_path`` names the JSONL sink (omit for in-memory only); with
     ``resume`` (the default) runs already successful in that sink are
     skipped and their existing records returned.  ``timeout_s`` bounds one
     run's wall time in sharded mode; ``retries`` bounds re-dispatch of
     crashed or hung runs.
     """
-    all_runs = spec.expand()
-    spec_hash = spec.spec_hash()
+    specs = [spec] if isinstance(spec, SweepSpec) else list(spec)
+    all_runs = [run for s in specs for run in s.expand()]
     existing: List[Dict[str, Any]] = []
     if out_path and resume:
         prior = load_records(out_path)
-        done_ids = completed_ok_ids(prior, spec_hash=spec_hash)
+        done_ids = set().union(
+            *(completed_ok_ids(prior, spec_hash=s.spec_hash()) for s in specs)
+        )
         seen: set = set()
         for record in prior:
             rid = record.get("run_id")

@@ -28,6 +28,7 @@ from repro.analyze import (
     UnknownSchemaError,
     ingest_jsonl,
 )
+from repro.analyze.ingest import ingest_trajectory
 from repro.sweep.sink import append_record
 from repro.sweep.spec import SweepSpec
 from repro.sweep.worker import base_record
@@ -96,6 +97,14 @@ class TestIngest:
         assert "schema 99" in message
         assert "future.jsonl:2" in message
         assert records[1]["run_id"] in message
+
+    @pytest.mark.parametrize("schema_field", [{"schema": 1}, {}])
+    def test_schema_1_trajectory_rejected(self, tmp_path, schema_field):
+        """The single-snapshot schema-1 layout is no longer migrated."""
+        path = tmp_path / "BENCH_micro.json"
+        path.write_text(json.dumps({"bench": "micro", **schema_field, "workloads": {}}))
+        with pytest.raises(UnknownSchemaError, match="trajectory schema 1"):
+            ingest_trajectory(str(path))
 
     def test_missing_required_field_is_schema_error(self, tmp_path):
         sink = tmp_path / "broken.jsonl"

@@ -16,6 +16,8 @@ import pytest
 
 from repro.analyze.regression import (
     MIN_HISTORY,
+    NO_REGRESSION_FLOOR,
+    TRAJECTORY_GATES,
     RegressionReport,
     analyze_trajectories,
     detect_regressions,
@@ -23,7 +25,6 @@ from repro.analyze.regression import (
 )
 from repro.analyze.ingest import ingest_trajectory
 from repro.analyze.tables import regression_table
-from repro.bench import NO_REGRESSION_FLOOR, TRAJECTORY_GATES
 
 GATED_WORKLOAD, GATED_METRIC = TRAJECTORY_GATES[0]
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")

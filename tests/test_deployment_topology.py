@@ -10,7 +10,7 @@ import pytest
 from repro.deployment.node import SensorNode
 from repro.deployment.placement import one_per_cell, uniform_random, ensure_coverage
 from repro.deployment.terrain import CellGrid, Terrain
-from repro.deployment.topology import RealNetwork, build_network
+from repro.deployment.topology import RealNetwork, build_network, covered_network
 
 from conftest import make_deployment
 
@@ -212,3 +212,22 @@ class TestPaths:
     def test_distance(self):
         net = line_network([(0.0, 0.0), (3.0, 4.0)], tx_range=10.0)
         assert net.distance(0, 1) == pytest.approx(5.0)
+
+
+class TestCoveredNetwork:
+    def test_positions_match_the_inline_recipe(self):
+        """``covered_network`` replaced five inline copies of this recipe;
+        node positions and ranges must be byte-identical to it."""
+        side, n_nodes, seed = 8, 400, 11
+        terrain = Terrain(100.0)
+        cells = CellGrid(terrain, side)
+        rng = np.random.default_rng(seed)
+        positions = ensure_coverage(uniform_random(n_nodes, terrain, rng), cells, rng)
+        inline = build_network(positions, cells, tx_range=cells.cell_side * 2.3)
+        net = covered_network(side, n_nodes, seed)
+        assert len(net) == len(inline) >= n_nodes
+        assert [repr(net.node(i).position) for i in net.node_ids()] == [
+            repr(inline.node(i).position) for i in inline.node_ids()
+        ]
+        assert {net.node(i).tx_range for i in net.node_ids()} == {cells.cell_side * 2.3}
+        assert all(net.members_of_cell(c) for c in net.cells.cells())

@@ -366,11 +366,14 @@ def test_partitioned_storm_speedup_on_granted_workers():
     """The headline perf claim on real cores: one side-32 storm, serial vs
     4 shard workers (``partition_storm`` asserts their fingerprints match).
     The target holds only where the 4-way pool is granted on >= 4 CPUs."""
-    from repro.bench import SPEEDUP_TARGET, partition_storm
+    from repro.analyze.regression import SPEEDUP_TARGET
+    from repro.sweep.workloads import WORKLOADS
 
     if effective_procs(4).procs < 4 or (os.cpu_count() or 1) < 4:
         pytest.skip("the speedup target needs 4 granted workers on >= 4 CPUs")
-    row = partition_storm(side=32, rounds=6, partitions=4, seed=11)
+    row = WORKLOADS["partition_storm"](
+        {"side": 32, "rounds": 6, "partitions": 4}, seed=11
+    ).metrics
     if row["workers"] < 4:
         pytest.skip(f"only {row['workers']} workers granted")
     assert row["speedup"] >= SPEEDUP_TARGET, (

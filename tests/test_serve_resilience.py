@@ -418,9 +418,10 @@ def test_degraded_serving_gate():
     """The degraded-mode headline: after a mid-campaign leader kill with
     healing on, the recovered warm pass stays complete and beats the cold
     pass on query-attributable energy (deterministic virtual energy)."""
-    from repro.bench import SERVE_DEGRADED_SPEEDUP_TARGET, serve_degraded
+    from repro.analyze.regression import SERVE_DEGRADED_SPEEDUP_TARGET
+    from repro.sweep.workloads import WORKLOADS
 
-    row = serve_degraded()
+    row = WORKLOADS["serve_degraded"]({}, seed=11).metrics
     assert row["failovers"] >= 1, "armed leader kill never failed over"
     assert row["recovered_complete"] == row["queries"] / 3, (
         "post-failover serving lost completeness"

@@ -55,6 +55,14 @@ class TestSerialPath:
         assert report.pairs_checked == 2
         assert report.ok
 
+    def test_a_list_of_specs_runs_as_one_pool(self):
+        other = SweepSpec(name="other", workload="timer_storm", fixed={"ops": 2_000})
+        records = run_sweep([TINY_STORM, other], workers=1)
+        assert len(records) == len(TINY_STORM.expand()) + 1
+        assert {r["name"] for r in records} == {"sched-test", "other"}
+        alone = fingerprints(run_sweep(TINY_STORM, workers=1))
+        assert {k: v for k, v in fingerprints(records).items() if k in alone} == alone
+
 
 class TestShardedPath:
     def test_sharded_matches_serial_fingerprints(self):

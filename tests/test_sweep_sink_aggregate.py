@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
+
+import pytest
 
 from repro.sweep import (
     SweepSpec,
@@ -14,6 +18,10 @@ from repro.sweep import (
     summarize,
     write_summary,
 )
+from repro.sweep.aggregate import append_entry
+
+
+REPO_BENCH_MICRO = pathlib.Path(__file__).resolve().parent.parent / "BENCH_micro.json"
 
 
 def record(run_id, status="ok", fingerprint="f0", shard=0, params=None, metrics=None,
@@ -124,3 +132,33 @@ class TestAggregate:
         assert len(doc2["runs"]) == 1
         on_disk = json.loads((tmp_path / "SWEEP_t.json").read_text())
         assert on_disk == doc2
+
+    def test_write_summary_refuses_another_benchs_document(self, tmp_path):
+        """A sweep summary pointed at a bench trajectory must not replace it."""
+        path = tmp_path / "BENCH_micro.json"
+        shutil.copy(REPO_BENCH_MICRO, path)
+        before = path.read_text()
+        spec = SweepSpec(name="t", workload="storm", grid={"side": [4]})
+        with pytest.raises(ValueError, match="holds bench 'micro', not 'sweep:t'"):
+            write_summary(str(path), [record("h/p0000/r0")], spec)
+        assert path.read_text() == before
+        assert len(json.loads(before)["runs"]) == 8
+
+    def test_write_summary_refuses_malformed_json(self, tmp_path):
+        path = tmp_path / "SWEEP_t.json"
+        path.write_text('{"bench": "sweep:t", "runs": [')
+        spec = SweepSpec(name="t", workload="storm", grid={"side": [4]})
+        with pytest.raises(ValueError, match="not valid JSON"):
+            write_summary(str(path), [record("h/p0000/r0")], spec)
+        assert path.read_text() == '{"bench": "sweep:t", "runs": ['
+
+    def test_append_entry_keeps_other_commits_and_replaces_its_own(self, tmp_path):
+        path = str(tmp_path / "BENCH_x.json")
+        append_entry(path, "x", {"commit": "a", "workloads": {"w": 1}})
+        append_entry(path, "x", {"commit": "b", "workloads": {"w": 2}})
+        doc = append_entry(path, "x", {"commit": "a", "workloads": {"w": 3}})
+        assert [(r["commit"], r["workloads"]["w"]) for r in doc["runs"]] == [
+            ("b", 2), ("a", 3),
+        ]
+        with pytest.raises(ValueError, match="holds bench 'x', not 'y'"):
+            append_entry(path, "y", {"commit": "a"})
