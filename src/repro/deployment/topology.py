@@ -15,6 +15,7 @@ subgraph ``Cell(v_ij)``.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -74,6 +75,36 @@ class RealNetwork:
         self._members_cache_gen = 0
         for node in self.nodes.values():
             node._on_liveness_change = self._bump_liveness_generation
+
+    def replica(self) -> "RealNetwork":
+        """A private copy that evolves independently of this network.
+
+        Immutable leaves — the cell grid, positions, adjacency tuples and
+        frozensets — are shared by reference.  Everything a run mutates
+        is copied: each node's battery, liveness and position (with its
+        liveness hook rebound to the replica), the liveness caches, and
+        the cell-membership and adjacency dicts that :meth:`move_node`
+        rewrites.  Equal to a pickle round trip, without re-building the
+        immutable part.
+        """
+        twin = copy.copy(self)
+        twin.nodes = {}
+        for nid, node in self.nodes.items():
+            # a shallow per-node copy, without copy.copy's dispatch: the
+            # fields are scalars and an immutable position tuple
+            state = dict(
+                node.__dict__, _on_liveness_change=twin._bump_liveness_generation
+            )
+            twin_node = object.__new__(SensorNode)
+            twin_node.__dict__ = state
+            twin.nodes[nid] = twin_node
+        twin._cell_of = dict(self._cell_of)
+        twin._members = dict(self._members)
+        twin._adjacency = dict(self._adjacency)
+        twin._adjacency_sets = dict(self._adjacency_sets)
+        twin._alive_cache = dict(self._alive_cache)
+        twin._members_cache = dict(self._members_cache)
+        return twin
 
     def _bump_liveness_generation(self) -> None:
         self._liveness_gen += 1

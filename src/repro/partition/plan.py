@@ -27,19 +27,15 @@ class ShardPlan:
     """The static decomposition of one deployment into ``partitions`` shards.
 
     ``local_nodes[k]`` is the sorted tuple of node ids shard ``k`` owns;
-    ``shard_of_node`` maps every node to its owner.  ``neighbor_shards[k]``
-    lists the shards that share at least one radio edge with ``k`` (with a
-    long radio range and narrow stripes this can reach beyond ``k±1``);
-    ``boundary_cells`` are the cells containing at least one node with a
-    remote radio neighbour — where cross-shard egress can originate.
+    ``shard_of_node`` maps every node to its owner.  Building one is
+    O(nodes): which radio edges cross a cut is the medium's business at
+    run time, not the plan's.
     """
 
     partitions: int
     side: int
     shard_of_node: Dict[int, int]
     local_nodes: Tuple[Tuple[int, ...], ...]
-    neighbor_shards: Tuple[Tuple[int, ...], ...]
-    boundary_cells: Tuple[GridCoord, ...]
 
     def shard_of_cell(self, cell: GridCoord) -> int:
         """Owning shard of a cell: equal-width stripes along the x axis."""
@@ -67,24 +63,9 @@ def plan_stripes(network: RealNetwork, partitions: int) -> ShardPlan:
         shard = network.cell_of(nid)[0] * partitions // side
         shard_of_node[nid] = shard
         local[shard].append(nid)
-    neighbors: List[set] = [set() for _ in range(partitions)]
-    boundary: List[GridCoord] = []
-    boundary_seen = set()
-    for nid in sorted(network.nodes):
-        shard = shard_of_node[nid]
-        for nbr in network.neighbor_set(nid):
-            other = shard_of_node[nbr]
-            if other != shard:
-                neighbors[shard].add(other)
-                cell = network.cell_of(nid)
-                if cell not in boundary_seen:
-                    boundary_seen.add(cell)
-                    boundary.append(cell)
     return ShardPlan(
         partitions=partitions,
         side=side,
         shard_of_node=shard_of_node,
         local_nodes=tuple(tuple(ids) for ids in local),
-        neighbor_shards=tuple(tuple(sorted(s)) for s in neighbors),
-        boundary_cells=tuple(sorted(boundary)),
     )

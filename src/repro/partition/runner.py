@@ -20,9 +20,11 @@ The protocol (full spec: DESIGN.md §12) is windowed conservative PDES:
   flight; a wall-clock watchdog and an event budget bound livelock.
 
 Determinism (the serial == partitioned invariant) comes from four rules:
-each shard world is built from the *same pickled bytes* whether it runs
+every shard world is a private replica of one job snapshot — immutable
+leaves (adjacency, positions, cost model) shared, every mutable container
+copied per shard — plus the same pickled recipe bytes, whether it runs
 in-process or in a worker; every shard's medium draws loss and jitter
-from stable hashes under one run key carried in those bytes, so a draw
+from stable hashes under one run key carried in that recipe, so a draw
 does not depend on which shard makes it; boundary arrivals are injected
 in ``(time, src_shard, emit_seq)`` order; and merged observables are
 either commutative sums (stats, energy, counters) or owner-resolved
@@ -31,6 +33,7 @@ either commutative sums (stats, energy, counters) or owner-resolved
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import os
 import pickle
@@ -136,19 +139,32 @@ def effective_procs(partitions: int, procs: Optional[int] = None) -> ProcBudget:
     )
 
 
-# -- shard jobs (the pickled construction recipe) ----------------------------------
+# -- shard jobs (one world snapshot plus the pickled recipe) -----------------------
 
 
 @dataclass
-class _AppJob:
-    """Everything a worker needs to build one application-round shard."""
+class _Job:
+    """What every shard of one run is built from.
 
-    stack: Any
-    spec: Any
+    ``world`` is the snapshot each shard replicates: the
+    :class:`~repro.runtime.stack.DeployedStack` of an application round,
+    the :class:`~repro.deployment.topology.RealNetwork` of a storm.  The
+    other fields are the recipe, which travels pickled (:func:`_ship`).
+    """
+
+    world: Any
     plan: ShardPlan
     lookahead: float
     loss_rate: float
     jitter: float
+    rng_key: int
+
+
+@dataclass
+class _AppJob(_Job):
+    """Everything a shard needs to build one application round."""
+
+    spec: Any
     reliable: bool
     max_retries: int
     ack_timeout: float
@@ -158,23 +174,16 @@ class _AppJob:
     fault_plan: Optional[FaultPlan]
     healing: Optional[HealingConfig]
     scenario: Optional[Scenario]
-    rng_key: int
 
 
 @dataclass
-class _StormJob:
+class _StormJob(_Job):
     """Construction recipe for the synthetic broadcast-storm workload."""
 
-    network: Any
     cost_model: Any
-    plan: ShardPlan
-    lookahead: float
-    loss_rate: float
-    jitter: float
     rounds: int
     interval: float
     size_units: float
-    rng_key: int
 
 
 class _StormProcess(Process):
@@ -234,13 +243,13 @@ class _ShardResult:
 class _ShardWorld:
     """One shard's simulator, medium, and resident processes."""
 
-    def __init__(self, job_blob: bytes, shard_id: int):
-        # Unpickling here — even when the world runs in the parent process
-        # (serial mode, or several shards multiplexed on one worker) —
-        # gives every shard a private replica of the deployment and makes
-        # serial and multiprocess construction literally the same code
-        # path on the same bytes.
-        job = pickle.loads(job_blob)
+    def __init__(self, job: _Job, shard_id: int):
+        # Every shard replicates the one snapshot it is handed (the
+        # caller's world in process, a worker's single unpickled copy
+        # otherwise): immutable leaves are shared, every mutable container
+        # is copied, so no shard's drains, kills, moves or repairs reach a
+        # sibling shard or the caller.
+        job = dataclasses.replace(job, world=job.world.replica())
         self.job = job
         self.shard_id = shard_id
         plan: ShardPlan = job.plan
@@ -254,11 +263,11 @@ class _ShardWorld:
                 lookahead=job.lookahead,
             )
         if isinstance(job, _StormJob):
-            self.network = job.network
+            self.network = job.world
             self.sim = Simulator()
             self.medium = WirelessMedium(
                 self.sim,
-                job.network,
+                job.world,
                 cost_model=job.cost_model,
                 loss_rate=job.loss_rate,
                 rng=job.rng_key,
@@ -270,8 +279,8 @@ class _ShardWorld:
         else:
             # application rounds go through the stack's single harness
             # construction point, same as the legacy path
-            self.network = job.stack.network
-            self.sim, self.medium, self.host = job.stack.make_harness(
+            self.network = job.world.network
+            self.sim, self.medium, self.host = job.world.make_harness(
                 loss_rate=job.loss_rate,
                 rng=job.rng_key,
                 jitter=job.jitter,
@@ -313,7 +322,7 @@ class _ShardWorld:
 
         if job.fault_plan is not None or job.healing is not None:
             self.report = FaultReport()
-        stack = job.stack
+        stack = job.world
         for nid in self._local_alive_ids():
             cell = stack.network.cell_of(nid)
             program = (
@@ -361,8 +370,8 @@ class _ShardWorld:
         single = self.plan.partitions == 1
         injector = FaultInjector(
             job.fault_plan,
-            job.stack.network,
-            job.stack.binding,
+            job.world.network,
+            job.world.binding,
             self.report,
             owns=None if single else self._owns_event,
             overhead=None if single else count_overhead,
@@ -388,8 +397,8 @@ class _ShardWorld:
         self.scenario_report = ScenarioReport()
         self.scenario_injector = ScenarioInjector(
             job.scenario,
-            job.stack.network,
-            job.stack.binding,
+            job.world.network,
+            job.world.binding,
             self.host,
             self.scenario_report,
             owns_node=None if single else self._owns_node,
@@ -449,7 +458,7 @@ class _ShardWorld:
         if isinstance(self.job, _AppJob):
             leaders = {
                 cell: leader
-                for cell, leader in self.job.stack.binding.leaders.items()
+                for cell, leader in self.job.world.binding.leaders.items()
                 if self.plan.shard_of_cell(cell) == self.shard_id
             }
         return _ShardResult(
@@ -478,8 +487,8 @@ class _ShardWorld:
 class _SerialShards:
     """All shard worlds multiplexed in the calling process."""
 
-    def __init__(self, job_blob: bytes, partitions: int):
-        self.worlds = [_ShardWorld(job_blob, sid) for sid in range(partitions)]
+    def __init__(self, job: _Job, partitions: int):
+        self.worlds = [_ShardWorld(job, sid) for sid in range(partitions)]
 
     def advance_all(self, horizon: float, inbox: Dict[int, List]) -> List[Tuple]:
         return [w.advance(horizon, inbox[w.shard_id]) for w in self.worlds]
@@ -496,8 +505,10 @@ def _worker_main(conn, shard_ids: List[int]) -> None:
     ``advance`` barriers until ``finalize``.  Any exception is shipped to
     the parent (which re-raises) instead of dying silently."""
     try:
-        job_blob = conn.recv_bytes()
-        worlds = {sid: _ShardWorld(job_blob, sid) for sid in shard_ids}
+        # one unpickled world per worker, however many shards it hosts
+        world = pickle.loads(conn.recv_bytes())
+        job = _unship(conn.recv_bytes(), world)
+        worlds = {sid: _ShardWorld(job, sid) for sid in shard_ids}
         conn.send(("ready", None))
         while True:
             msg = conn.recv()
@@ -535,7 +546,8 @@ class _PipeShards:
 
     def __init__(
         self,
-        job_blob: bytes,
+        world_blob: bytes,
+        recipe: bytes,
         partitions: int,
         procs: int,
         wall_timeout_s: Optional[float],
@@ -554,7 +566,8 @@ class _PipeShards:
             )
             proc.start()
             child_conn.close()
-            parent_conn.send_bytes(job_blob)
+            parent_conn.send_bytes(world_blob)
+            parent_conn.send_bytes(recipe)
             self._conns.append(parent_conn)
             self._procs.append(proc)
         for conn in self._conns:
@@ -663,9 +676,9 @@ def _drive_windows(
     return windows
 
 
-def _pickle_job(job) -> bytes:
+def _pickle(obj) -> bytes:
     try:
-        return pickle.dumps(job)
+        return pickle.dumps(obj)
     except Exception as exc:
         raise TypeError(
             "partitioned runs ship the deployment and program spec to shard "
@@ -674,15 +687,29 @@ def _pickle_job(job) -> bytes:
         ) from None
 
 
+def _ship(job: _Job) -> bytes:
+    """The recipe: ``job`` pickled without its world, on every path."""
+    return _pickle(dataclasses.replace(job, world=None))
+
+
+def _unship(recipe: bytes, world: Any) -> _Job:
+    job = pickle.loads(recipe)
+    job.world = world
+    return job
+
+
 def _make_shards(
-    job_blob: bytes,
+    job: _Job,
     partitions: int,
     procs: int,
     wall_timeout_s: Optional[float],
 ):
+    recipe = _ship(job)
     if procs <= 1:
-        return _SerialShards(job_blob, partitions)
-    return _PipeShards(job_blob, partitions, procs, wall_timeout_s)
+        return _SerialShards(_unship(recipe, job.world), partitions)
+    return _PipeShards(
+        _pickle(job.world), recipe, partitions, procs, wall_timeout_s
+    )
 
 
 def merge_fault_reports(
@@ -769,7 +796,7 @@ def run_partitioned_application(
     if lookahead is None:
         lookahead = default_lookahead(stack.cost_model, healing)
     job = _AppJob(
-        stack=stack,
+        world=stack,
         spec=spec,
         plan=plan,
         lookahead=lookahead,
@@ -786,9 +813,8 @@ def run_partitioned_application(
         scenario=scenario,
         rng_key=run_key(rng, loss_rate, jitter),
     )
-    job_blob = _pickle_job(job)
     budget = effective_procs(partitions, procs)
-    shards = _make_shards(job_blob, partitions, budget.procs, wall_timeout_s)
+    shards = _make_shards(job, partitions, budget.procs, wall_timeout_s)
     try:
         _drive_windows(shards, partitions, lookahead, max_events, wall_timeout_s)
         results = shards.finalize_all()
@@ -930,7 +956,7 @@ def run_partitioned_storm(
         lookahead = cost_model.tx_latency(size_units)
     plan = plan_stripes(network, partitions)
     job = _StormJob(
-        network=network,
+        world=network,
         cost_model=cost_model,
         plan=plan,
         lookahead=lookahead,
@@ -941,9 +967,8 @@ def run_partitioned_storm(
         size_units=size_units,
         rng_key=run_key(rng, loss_rate, jitter),
     )
-    job_blob = _pickle_job(job)
     if partitions == 1:
-        world = _ShardWorld(job_blob, 0)
+        world = _make_shards(job, 1, 1, None).worlds[0]
         world.sim.run(max_events=max_events)
         if world.sim.pending:
             raise RuntimeError("storm did not quiesce within the event budget")
@@ -953,7 +978,7 @@ def run_partitioned_storm(
     else:
         budget = effective_procs(partitions, procs)
         used_procs = budget.procs
-        shards = _make_shards(job_blob, partitions, budget.procs, wall_timeout_s)
+        shards = _make_shards(job, partitions, budget.procs, wall_timeout_s)
         try:
             windows = _drive_windows(
                 shards, partitions, lookahead, max_events, wall_timeout_s

@@ -118,6 +118,16 @@ class Binding:
         default_factory=dict, repr=False, compare=False
     )
 
+    def replica(self, network: RealNetwork) -> "Binding":
+        """A private copy over ``network`` (a replica of this one's):
+        leaders, gradient pointers and the repair throttle are copied."""
+        return Binding(
+            network=network,
+            leaders=dict(self.leaders),
+            toward_leader=dict(self.toward_leader),
+            _repair_generation=dict(self._repair_generation),
+        )
+
     def leader_of(self, cell: GridCoord) -> int:
         """The bound node of ``cell`` (raises ``KeyError`` if unbound)."""
         return self.leaders[cell]

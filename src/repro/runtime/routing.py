@@ -377,7 +377,11 @@ class TransportProcess(Process):
                 if self.wire_format
                 else envelope.uid
             )
-            self.unicast(packet.src, ACK_KIND, ack, self.ack_size_units)
+            # a previous hop that moved out of range while the frame was in
+            # flight (mobility) cannot hear the ack: it is lost, and the
+            # sender's ARQ re-resolves its route
+            if packet.src in self.medium.network.neighbor_set(self.node_id):
+                self.unicast(packet.src, ACK_KIND, ack, self.ack_size_units)
             origin, seq = envelope.uid
             if self._uid_seen((origin, packet.src), seq):
                 self.duplicates_suppressed += 1

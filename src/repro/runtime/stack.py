@@ -212,6 +212,23 @@ class DeployedStack:
         self.setup = setup
         self.cost_model = cost_model or UniformCostModel()
 
+    def replica(self) -> "DeployedStack":
+        """A private copy of the deployed state, for one partition shard.
+
+        The network, topology and binding are replicas (see
+        :meth:`RealNetwork.replica`) wired to each other the way a pickle
+        round trip would wire them; the setup report and cost model are
+        immutable and shared.
+        """
+        network = self.network.replica()
+        return DeployedStack(
+            network=network,
+            topology=self.topology.replica(network),
+            binding=self.binding.replica(network),
+            setup=self.setup,
+            cost_model=self.cost_model,
+        )
+
     def make_harness(
         self,
         loss_rate: float = 0.0,

@@ -137,6 +137,16 @@ class EmulatedTopology:
         # throttles on-demand repairs to one per churn event
         self._repair_generation: Dict[Tuple[GridCoord, Direction], int] = {}
 
+    def replica(self, network: RealNetwork) -> "EmulatedTopology":
+        """A private copy over ``network`` (a replica of this one's):
+        the table rows and the repair throttle, which :meth:`repair`
+        rewrites, are copied."""
+        twin = EmulatedTopology(
+            network, {nid: dict(row) for nid, row in self.tables.items()}
+        )
+        twin._repair_generation = dict(self._repair_generation)
+        return twin
+
     def entry(self, node_id: int, direction: Direction) -> Optional[int]:
         """``RT_{node}[direction]``."""
         return self.tables[node_id][direction]

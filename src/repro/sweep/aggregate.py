@@ -25,14 +25,23 @@ SUMMARY_SCHEMA = 2
 
 
 def git_commit() -> str:
-    """Short hash of the checked-out commit (``"unknown"`` outside git)."""
-    try:
+    """Short hash of the checked-out commit (``"unknown"`` outside git).
+
+    Suffixed ``-dirty`` when tracked files differ from that commit, so
+    numbers measured on uncommitted changes never pass for the commit's.
+    """
+
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
+            ["git", *args], capture_output=True, text=True, check=True
         ).stdout.strip()
+
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return f"{head}-dirty" if dirty else head
 
 
 def point_key(params: Dict[str, Any]) -> str:

@@ -16,12 +16,17 @@ The subsystem's contract, pinned here:
   serial one;
 * the medium refuses transmissions whose delay undercuts the declared
   lookahead bound (the conservative-synchronization safety net);
-* nested parallelism resolves by shrinking the worker pool, never K.
+* nested parallelism resolves by shrinking the worker pool, never K;
+* every shard world is a private replica of one snapshot: a replica's
+  mutations never reach the original, and a round on a replica equals
+  a round on a pickle round trip of the same stack;
+* every user-supplied ingredient must pickle, in process or not.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from typing import Optional
 
 import numpy as np
@@ -35,6 +40,7 @@ except ImportError:  # pragma: no cover - baked into the test image
     HAVE_HYPOTHESIS = False
 
 from repro.core import CountAggregation, VirtualArchitecture
+from repro.core.coords import Direction
 from repro.partition import (
     SWEEP_WORKERS_ENV,
     default_lookahead,
@@ -44,6 +50,7 @@ from repro.partition import (
     run_partitioned_storm,
 )
 from repro.runtime import FaultEvent, FaultPlan, deploy
+from repro.scenario import Scenario, plan_cell_hops
 from repro.simulator.engine import Simulator
 
 from conftest import make_deployment
@@ -82,11 +89,26 @@ def _fingerprint(result):
     )
 
 
+def boundary_cells(network, plan):
+    """Cells holding a node with a radio neighbour on another shard —
+    where cross-shard egress can originate (an O(edges) scan)."""
+    owner = plan.shard_of_node
+    return sorted(
+        {
+            network.cell_of(nid)
+            for nid in network.nodes
+            if any(owner[nbr] != owner[nid] for nbr in network.neighbor_set(nid))
+        }
+    )
+
+
 def _boundary_kill_plan(stack, cut: int):
     """A kill_leader landing on a cell that borders a ``cut``-stripe cut."""
     plan = plan_stripes(stack.network, cut)
     cell = next(
-        c for c in sorted(plan.boundary_cells) if c in stack.binding.leaders
+        c
+        for c in boundary_cells(stack.network, plan)
+        if c in stack.binding.leaders
     )
     return FaultPlan(
         events=(FaultEvent(time=0.5, action="kill_leader", cell=cell),)
@@ -148,8 +170,9 @@ def test_plan_stripes_shape():
         col = net.cell_of(nid)[0]
         assert plan.shard_of_node[nid] == col * 4 // 8
     # stripe cuts exist, and every boundary cell touches a foreign shard
-    assert plan.boundary_cells
-    for cell in plan.boundary_cells:
+    cells = boundary_cells(net, plan)
+    assert cells
+    for cell in cells:
         assert 0 <= plan.shard_of_cell(cell) < 4
 
 
@@ -328,6 +351,139 @@ def test_battery_writeback_composes_with_followup_round():
         return _fingerprint(second)
 
     assert two_rounds(partitioned=True) == two_rounds(partitioned=False)
+
+
+# ---------------------------------------------------------------------------
+# Shard replicas and the pickle contract
+# ---------------------------------------------------------------------------
+
+
+def _drain_and_kill(stack):
+    net = stack.network
+    first, second = net.node_ids()[:2]
+    net.nodes[first].draw(5.0)
+    net.nodes[second].kill()
+
+
+def _move_across_cells(stack):
+    net = stack.network
+    nid = net.node_ids()[0]
+    x, y = net.cell_of(nid)
+    net.move_node(nid, net.cells.center(((x + 1) % net.cells.cells_per_side, y)))
+
+
+def _repair_topology(stack):
+    """Kill a node on a gateway chain, then rebuild the chain around it."""
+    cell, east = (0, 0), Direction.EAST
+    topo = stack.topology
+    member = next(
+        m for m in stack.network.members_of_cell(cell) if topo.entry(m, east) is not None
+    )
+    stack.network.nodes[topo.entry(member, east)].kill()
+    assert topo.repair(cell, east)
+
+
+def _repair_gradient(stack):
+    """Kill a non-leader member, then rebuild the cell's gradient."""
+    cell = (0, 0)
+    leader = stack.binding.leaders[cell]
+    victim = next(m for m in stack.network.members_of_cell(cell) if m != leader)
+    stack.network.nodes[victim].kill()
+    stack.binding.repair_gradient(cell)
+
+
+def _reassign_leader(stack):
+    """What a failover takeover does to the binding."""
+    cell = (0, 0)
+    leader = stack.binding.leaders[cell]
+    heir = next(m for m in stack.network.members_of_cell(cell) if m != leader)
+    stack.binding.leaders[cell] = heir
+    stack.binding.toward_leader[heir] = None
+
+
+def _world_state(stack) -> bytes:
+    """Every mutable part of a stack, as bytes (the setup report and cost
+    model are shared, immutable leaves)."""
+    return pickle.dumps((stack.network, stack.topology, stack.binding))
+
+
+def _world_view(stack):
+    """What a round leaves behind on a stack, compared by value (a pickle
+    round trip rebuilds frozensets, whose iteration order may differ)."""
+    net = stack.network
+    return (
+        {
+            nid: (node.alive, node.consumed_energy, node.initial_energy, node.position)
+            for nid, node in net.nodes.items()
+        },
+        {nid: (net.cell_of(nid), net.neighbors(nid, alive_only=False)) for nid in net.nodes},
+        net.liveness_generation,
+        stack.topology.tables,
+        stack.binding.leaders,
+        stack.binding.toward_leader,
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_drain_and_kill, _move_across_cells, _repair_topology, _repair_gradient,
+     _reassign_leader],
+    ids=lambda fn: fn.__name__.lstrip("_"),
+)
+def test_replica_mutations_leave_the_original_alone(mutate):
+    stack = deploy(make_deployment(side=4, seed=11))
+    before = _world_state(stack)
+    replica = stack.replica()
+    # wired to itself the way a pickle round trip wires it
+    assert replica.topology.network is replica.network
+    assert replica.binding.network is replica.network
+    assert _world_state(replica) == before
+    mutate(replica)
+    assert _world_state(replica) != before  # the mutation took effect...
+    assert _world_state(stack) == before  # ...on the replica only
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_replica_round_equals_a_pickled_copy_round(partitions):
+    """Loss, jitter, wire, a boundary kill_leader and mobility: a round on
+    ``stack.replica()`` and on a pickle round trip of ``stack`` agree,
+    and so do the batteries and leaders written back to each."""
+    side, seed = 8, 11
+    stack = deploy(make_deployment(side=side, seed=seed))
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    scenario = Scenario(
+        mobility=plan_cell_hops(
+            stack.network.node_ids(), cells, hops=3, at=0.6, spacing=0.1, seed=seed
+        )
+    )
+    fault = _boundary_kill_plan(stack, 4)
+
+    def round_on(world):
+        result = run_partitioned_application(
+            world, _spec(side), partitions=partitions, procs=1, loss_rate=0.1,
+            jitter=0.2, rng=np.random.default_rng(seed + 1), reliable=True,
+            max_retries=8, wire_format=True, fault_plan=fault,
+            scenario=scenario, wall_timeout_s=120.0,
+        )
+        return result, _world_view(world)
+
+    on_pickled, pickled_after = round_on(pickle.loads(pickle.dumps(stack)))
+    on_replica, replica_after = round_on(stack.replica())
+    assert on_replica.fingerprint() == on_pickled.fingerprint()
+    assert _fingerprint(on_replica) == _fingerprint(on_pickled)
+    assert replica_after == pickled_after
+    assert [e[1] for e in on_replica.fault_report.injected] == ["kill_leader"]
+    assert on_replica.fault_report.failovers
+    assert len(on_replica.scenario_report.relocations) == 3
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_unpicklable_spec_is_refused_in_process_too(procs):
+    side = 8
+    stack = deploy(make_deployment(side=side, seed=11))
+    spec = VirtualArchitecture(side).synthesize(CountAggregation(lambda cell: True))
+    with pytest.raises(TypeError, match="every ingredient must pickle"):
+        run_partitioned_application(stack, spec, partitions=4, procs=procs)
 
 
 # ---------------------------------------------------------------------------

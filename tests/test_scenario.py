@@ -358,6 +358,35 @@ class TestScenarioRuns:
             == serial.scenario_report.attacker.as_tuple()
         )
 
+    def test_ack_to_a_hop_that_moved_away_is_lost_not_raised(self):
+        """A frame still in flight when its sender hops cells reaches a
+        receiver that can no longer ack it: the ack is lost (the sender's
+        ARQ re-resolves its route), the round never crashes, and the
+        sharded run still matches the serial one."""
+        from conftest import make_deployment
+
+        side, seed = 8, 11
+
+        def round_on(partitions: int):
+            stack = deploy(make_deployment(side=side, seed=seed))
+            cells = [(x, y) for x in range(side) for y in range(side)]
+            scn = Scenario(
+                mobility=plan_cell_hops(
+                    stack.network.node_ids(), cells, hops=3, at=0.6,
+                    spacing=0.1, seed=seed,
+                )
+            )
+            spec = VirtualArchitecture(side).synthesize(CountAggregation(count_all))
+            return stack.run_application(
+                spec, loss_rate=0.1, rng=np.random.default_rng(seed + 1),
+                reliable=True, max_retries=8, scenario=scn,
+                partitions=partitions, partition_procs=1,
+            )
+
+        serial = round_on(1)
+        assert len(serial.scenario_report.relocations) == 3
+        assert round_on(4).fingerprint() == serial.fingerprint()
+
     def test_report_accounting(self):
         scn = full_scenario()
         result = run_round(scn)

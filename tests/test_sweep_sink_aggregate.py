@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pathlib
 import shutil
+import subprocess
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.sweep import (
     summarize,
     write_summary,
 )
-from repro.sweep.aggregate import append_entry
+from repro.sweep.aggregate import append_entry, git_commit
 
 
 REPO_BENCH_MICRO = pathlib.Path(__file__).resolve().parent.parent / "BENCH_micro.json"
@@ -142,7 +143,9 @@ class TestAggregate:
         with pytest.raises(ValueError, match="holds bench 'micro', not 'sweep:t'"):
             write_summary(str(path), [record("h/p0000/r0")], spec)
         assert path.read_text() == before
-        assert len(json.loads(before)["runs"]) == 8
+        # the real multi-entry trajectory (8 entries when this test was
+        # written; every recorded commit adds one)
+        assert len(json.loads(before)["runs"]) >= 8
 
     def test_write_summary_refuses_malformed_json(self, tmp_path):
         path = tmp_path / "SWEEP_t.json"
@@ -151,6 +154,24 @@ class TestAggregate:
         with pytest.raises(ValueError, match="not valid JSON"):
             write_summary(str(path), [record("h/p0000/r0")], spec)
         assert path.read_text() == '{"bench": "sweep:t", "runs": ['
+
+    def test_git_commit_marks_uncommitted_changes_dirty(self, tmp_path, monkeypatch):
+        def git(*args):
+            return subprocess.run(
+                ["git", *args], cwd=tmp_path, capture_output=True, text=True,
+                check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "f.txt").write_text("a")
+        git("add", "f.txt")
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "c")
+        head = git("rev-parse", "--short", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "untracked.txt").write_text("x")
+        assert git_commit() == head
+        (tmp_path / "f.txt").write_text("b")
+        assert git_commit() == f"{head}-dirty"
 
     def test_append_entry_keeps_other_commits_and_replaces_its_own(self, tmp_path):
         path = str(tmp_path / "BENCH_x.json")
